@@ -22,7 +22,7 @@
 
 #include "src/engine/engine.h"
 #include "src/gen/generators.h"
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_server.h"
 #include "src/obs/trace.h"
 #include "src/parser/parser.h"
@@ -152,61 +152,7 @@ BENCHMARK(BM_EngineServe)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Observability tax: the 95%-hit serving stream with the engine's
-/// latency histograms on (metrics:1, the default) vs the sum-only
-/// registry-disabled path (metrics:0). Both arms pay the clock reads —
-/// the sums back EngineStatsSnapshot either way — so the delta is
-/// purely the histogram bucket increments (one relaxed fetch_add per
-/// stage per request). The ISSUE-6 budget is <2% covers_per_sec.
-void BM_MetricsOverhead(benchmark::State& state) {
-  EngineWorkload w = MakeEngineWorkload({});
-  std::vector<Engine::Request> stream = MakeStream(w, UniqueForHitPct(95));
-
-  EngineOptions options;
-  options.num_threads = 1;
-  options.cache_capacity = 4 * kStreamLen;
-  options.cover.rbr.on_budget = RBROptions::OnBudget::kTruncate;
-  options.metrics = state.range(0) != 0;
-  Engine engine(std::move(w.catalog), options);
-  auto sigma_id = engine.RegisterSigma(std::move(w.sigma));
-  if (!sigma_id.ok()) {
-    state.SkipWithError(sigma_id.status().ToString().c_str());
-    return;
-  }
-
-  for (auto _ : state) {
-    state.PauseTiming();
-    engine.ClearCache();
-    state.ResumeTiming();
-    auto results = engine.PropagateBatch(stream);
-    for (auto& r : results) {
-      if (!r.ok()) {
-        state.SkipWithError(r.status().ToString().c_str());
-        return;
-      }
-    }
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kStreamLen));
-  EngineStatsSnapshot stats = engine.Stats();
-  state.counters["hit_rate_pct"] = 100.0 * stats.cache.HitRate();
-  // Audits which arm ran: the recorded sample count is requests (on)
-  // or zero (off).
-  state.counters["hist_samples"] =
-      static_cast<double>(stats.total_latency.count);
-  state.counters["covers_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kStreamLen,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MetricsOverhead)
-    ->ArgNames({"metrics"})
-    ->Args({0})
-    ->Args({1})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// Tracing tax on the same 95%-hit serving path, three arms: no tracer
+/// Tracing tax on the 95%-hit serving path, three arms: no tracer
 /// installed (tracer:0, the baseline), a tracer installed with
 /// sampling off (tracer:1 — the "tracing disabled" arm the ISSUE-10
 /// <2% covers_per_sec budget gates: one StartTrace fetch_add and a
@@ -466,7 +412,7 @@ BENCHMARK(BM_ServiceTenantSweep)
     ->UseRealTime();
 
 /// Network serving: the BM_ServiceTenantSweep workload driven through
-/// CoverServer/CoverClient over loopback TCP — each iteration is one
+/// CoverServer/RemoteBackend over loopback TCP — each iteration is one
 /// client→server→client round-trip batch per tenant (kStreamLen
 /// requests at 95% hits), with one client thread per tenant so batches
 /// overlap exactly as the in-process sweep's futures do. The delta
@@ -522,7 +468,7 @@ void BM_NetLoopbackBatch(benchmark::State& state) {
   // One connected client (with its own decode pool) per tenant, reused
   // across iterations.
   struct ClientCtx {
-    std::unique_ptr<net::CoverClient> client;
+    std::unique_ptr<net::RemoteBackend> client;
     Catalog scratch;  // decode pool
   };
   std::vector<ClientCtx> clients(num_tenants);
@@ -530,7 +476,7 @@ void BM_NetLoopbackBatch(benchmark::State& state) {
     net::CoverClientOptions client_options;
     client_options.port = server.port();
     clients[t].client =
-        std::make_unique<net::CoverClient>(client_options);
+        std::make_unique<net::RemoteBackend>(client_options);
     if (Status connected = clients[t].client->Connect(); !connected.ok()) {
       state.SkipWithError(connected.ToString().c_str());
       return;

@@ -23,8 +23,7 @@ double MicrosSince(Clock::time_point start) {
 Engine::Engine(Catalog catalog, EngineOptions options)
     : catalog_(std::move(catalog)),
       options_(std::move(options)),
-      cache_(options_.cache_capacity, options_.cache_shards),
-      stats_(options_.metrics) {
+      cache_(options_.cache_capacity, options_.cache_shards) {
   // Pre-intern the only constants the propagation pipeline interns (the
   // ComputeEQ/Lemma 4.5 pair): with these present, concurrent requests
   // hit ValuePool::Intern's read-only path and never mutate the pool.

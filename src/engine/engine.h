@@ -76,11 +76,6 @@ struct EngineOptions {
   /// measurements; the cache is still constructed but never consulted).
   bool use_cache = true;
 
-  /// Disable to drop latency-histogram bucket recording (timing sums and
-  /// counters still accumulate) — the registry-disabled baseline
-  /// BM_MetricsOverhead compares against.
-  bool metrics = true;
-
   /// Options forwarded to PropagationCoverSPC. `input_mincover` is
   /// ignored: registration already minimized, so requests always run
   /// with input_mincover = false.

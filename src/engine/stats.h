@@ -6,11 +6,9 @@
 // merges both into one EngineStatsSnapshot.
 //
 // Latency accumulation rides on src/obs histograms: each timing field
-// is one obs::Histogram whose nanosecond sum plays the old accumulator
-// role (the former `atomic<double>` CAS loops are gone) and whose
-// buckets give the per-engine latency distribution the exporter
-// renders. Constructing with `latency_histograms = false` keeps only
-// the sums — the registry-disabled path BM_MetricsOverhead measures.
+// is one obs::Histogram whose nanosecond sum is the accumulator behind
+// the snapshot's *_us totals and whose buckets give the per-engine
+// latency distribution the exporter renders.
 
 #ifndef CFDPROP_ENGINE_STATS_H_
 #define CFDPROP_ENGINE_STATS_H_
@@ -56,8 +54,7 @@ struct EngineStatsSnapshot {
   /// (ROADMAP "Multi-core validation").
   double batch_wall_us = 0;
   double batch_busy_us = 0;
-  /// Latency distributions behind the sums above (empty buckets when the
-  /// engine runs with latency_histograms off).
+  /// Latency distributions behind the sums above.
   obs::HistogramSnapshot total_latency;
   obs::HistogramSnapshot fingerprint_latency;
   obs::HistogramSnapshot compute_latency;
@@ -94,11 +91,6 @@ struct EngineStatsSnapshot {
 
 class EngineStats {
  public:
-  explicit EngineStats(bool latency_histograms = true)
-      : total_hist_(latency_histograms),
-        fingerprint_hist_(latency_histograms),
-        compute_hist_(latency_histograms) {}
-
   void Record(const RequestTiming& t, bool error) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     if (error) errors_.fetch_add(1, std::memory_order_relaxed);

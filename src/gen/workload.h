@@ -4,7 +4,7 @@
 // plus U0..Un union views where the scenario serves unions) and one op
 // script per client. The runner (src/workload/runner.h) executes the
 // same plan over either the in-process CatalogService or the TCP
-// CoverClient→CoverServer path, which is what makes the two paths
+// RemoteBackend→CoverServer path, which is what makes the two paths
 // comparable: they serve byte-identical request streams.
 //
 // Determinism is a feature under test: SerializeScripts renders the

@@ -172,91 +172,5 @@ Status InProcBackend::DropCatalog(const std::string& tenant) {
   return dropped;
 }
 
-// ---------------------------------------------------------------------------
-// RemoteBackend
-
-Status RemoteBackend::EnsureConnected() {
-  if (client_.connected()) return Status::OK();
-  CFDPROP_RETURN_NOT_OK(client_.Connect());
-  // Replay this backend's catalog opens so the conversation resumes
-  // where the dropped one left off; the server's same-text re-open is
-  // idempotent, so a catalog that survived server-side is a no-op.
-  for (const auto& [tenant, spec_text] : opened_) {
-    auto reopened = client_.OpenCatalog(tenant, spec_text);
-    if (!reopened.ok()) {
-      client_.Close();
-      return reopened.status();
-    }
-  }
-  return Status::OK();
-}
-
-Result<OpenCatalogReplyInfo> RemoteBackend::OpenCatalog(
-    const std::string& tenant, const std::string& spec_text) {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  CFDPROP_ASSIGN_OR_RETURN(OpenCatalogReplyInfo info,
-                           client_.OpenCatalog(tenant, spec_text));
-  opened_[tenant] = spec_text;
-  return info;
-}
-
-Result<std::vector<BatchResult>> RemoteBackend::SubmitBatches(
-    const std::string& tenant,
-    const std::vector<std::vector<std::string>>& batches, ValuePool& pool) {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.SubmitBatches(tenant, batches, pool);
-}
-
-Result<std::vector<BatchResult>> RemoteBackend::SubmitBatches(
-    const std::string& tenant,
-    const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
-    const obs::TraceContext& trace) {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.SubmitBatches(tenant, batches, pool, trace);
-}
-
-Result<std::vector<obs::SpanRecord>> RemoteBackend::TraceDump() {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.TraceDump();
-}
-
-Result<WireServiceStats> RemoteBackend::Stats() {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.Stats();
-}
-
-Result<std::string> RemoteBackend::Metrics() {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.Metrics();
-}
-
-Status RemoteBackend::DropCatalog(const std::string& tenant) {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  Status dropped = client_.DropCatalog(tenant);
-  if (dropped.ok()) opened_.erase(tenant);
-  return dropped;
-}
-
-Result<std::string> RemoteBackend::FetchSnapshot(const std::string& tenant) {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.FetchSnapshot(tenant);
-}
-
-Result<OpenCatalogReplyInfo> RemoteBackend::OpenFromSnapshot(
-    const std::string& tenant, const std::string& spec_text,
-    std::string_view snapshot) {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  CFDPROP_ASSIGN_OR_RETURN(
-      OpenCatalogReplyInfo info,
-      client_.OpenFromSnapshot(tenant, spec_text, snapshot));
-  opened_[tenant] = spec_text;
-  return info;
-}
-
-Status RemoteBackend::Shutdown() {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.Shutdown();
-}
-
 }  // namespace net
 }  // namespace cfdprop

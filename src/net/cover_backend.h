@@ -1,21 +1,17 @@
 // CoverBackend: the one serving surface in front of a cover catalog,
 // whether it lives in this process or behind a socket.
 //
-// Before this interface the stack had two divergent submit APIs —
-// CatalogService::SubmitBatch (future-based, in-process) and
-// CoverClient::SubmitBatch (blocking, wire) — and every caller that
-// wanted to serve "either way" (the workload runner, the CLI) carried
-// hand-rolled inproc|tcp branching. CoverBackend collapses that:
 // OpenCatalog / SubmitBatch(es) / Stats / Metrics / DropCatalog, all
-// returning the typed Result<>s whose StatusCodes survive the wire, so
-// a caller programs against one surface and an injection decides where
+// returning typed Result<>s whose StatusCodes survive the wire, so a
+// caller programs against one surface and an injection decides where
 // the covers come from.
 //
 // Three implementations:
 //   * InProcBackend  — wraps a CatalogService (plus the spec/view-name
 //     resolution a CoverServer would do), no sockets at all;
-//   * RemoteBackend  — wraps a CoverClient, with reconnect: a dropped
-//     connection (socket deadline, server restart of the link) is
+//   * RemoteBackend  — the blocking wire client of one CoverServer: one
+//     TCP connection, strict request/reply framing, with reconnect: a
+//     dropped connection (socket deadline, server restart) is
 //     re-established on the next call and the backend *re-opens every
 //     catalog it opened*, so open-catalog state survives the drop
 //     (CoverServer's same-text re-open is idempotent);
@@ -31,14 +27,17 @@
 // serves them straight from the tenant's engine.
 //
 // Thread-safety: RemoteBackend is one conversation — use one per
-// worker thread (connections are cheap). InProcBackend IS safe for
-// concurrent callers: the service is thread-safe and the backend's own
-// spec registry takes a lock, so the workload runner shares a single
-// instance across its workers.
+// worker thread (connections are cheap; the server threads per
+// connection). InProcBackend IS safe for concurrent callers: the
+// service is thread-safe and the backend's own spec registry takes a
+// lock, so the workload runner shares a single instance across its
+// workers.
 
 #ifndef CFDPROP_NET_COVER_BACKEND_H_
 #define CFDPROP_NET_COVER_BACKEND_H_
 
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,7 +47,6 @@
 
 #include "src/base/status.h"
 #include "src/base/value.h"
-#include "src/net/cover_client.h"
 #include "src/net/wire_protocol.h"
 #include "src/parser/parser.h"
 #include "src/service/batch_result.h"
@@ -56,6 +54,29 @@
 
 namespace cfdprop {
 namespace net {
+
+struct CoverClientOptions {
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
+  /// Connect() retries: scripts and CI start `listen` in the background
+  /// and race the client against the server's bind, so the client polls
+  /// rather than demanding the server be up first.
+  size_t connect_attempts = 50;
+  std::chrono::milliseconds retry_delay{100};
+  /// Overall Connect() deadline spanning every attempt *and* the sleeps
+  /// between them. 0 = no deadline: the attempts-only bound (which,
+  /// with a long retry_delay, has no wall-clock ceiling at all). When
+  /// armed, Connect() returns typed DeadlineExceeded once the budget
+  /// elapses, and each in-flight ::connect is bounded by the remaining
+  /// budget (non-blocking connect + poll).
+  std::chrono::milliseconds connect_timeout{0};
+  /// Per-call socket send/recv deadline (SO_RCVTIMEO/SO_SNDTIMEO) armed
+  /// after a successful connect. 0 = fully blocking. When an I/O
+  /// deadline fires mid-call the call returns typed DeadlineExceeded
+  /// and the connection is dropped (the stream has no resync point), so
+  /// the next call reconnects.
+  std::chrono::milliseconds io_timeout{0};
+};
 
 class CoverBackend {
  public:
@@ -123,16 +144,27 @@ class InProcBackend : public CoverBackend {
   std::map<std::string, std::shared_ptr<const Spec>> specs_;
 };
 
-/// CoverBackend over a CoverClient. Lazily connects on first use, and
-/// on every call re-establishes a dropped connection first — re-opening
-/// every catalog this backend opened (the server's same-text re-open is
-/// idempotent), which is the fix for the historical bug where a
-/// DeadlineExceeded drop silently lost open-catalog state and the next
-/// round died on "no spec registered".
+/// CoverBackend over one CoverServer connection. Lazily connects on
+/// first use, and on every call re-establishes a dropped connection
+/// first — re-opening every catalog this backend opened (the server's
+/// same-text re-open is idempotent), so a DeadlineExceeded drop or a
+/// server restart never silently loses open-catalog state.
+///
+/// Covers come back in the snapshot string-table encoding and are
+/// re-interned into the caller's ValuePool, so the client needs no
+/// knowledge of the server's pool. With a process tracer installed the
+/// two-argument SubmitBatches is the trace edge: it starts a trace,
+/// records the rpc span and applies slow-request capture to the round
+/// trip.
 class RemoteBackend : public CoverBackend {
  public:
-  explicit RemoteBackend(CoverClientOptions options) : client_(options) {}
+  explicit RemoteBackend(CoverClientOptions options);
+  ~RemoteBackend() override;
 
+  RemoteBackend(const RemoteBackend&) = delete;
+  RemoteBackend& operator=(const RemoteBackend&) = delete;
+
+  /// Ships spec text for the server to parse and open as a tenant.
   Result<OpenCatalogReplyInfo> OpenCatalog(
       const std::string& tenant, const std::string& spec_text) override;
 
@@ -142,7 +174,8 @@ class RemoteBackend : public CoverBackend {
       ValuePool& pool) override;
 
   /// Submit under a caller-started trace (the router's edge) — the rpc
-  /// span parents to `trace.parent_span_id`.
+  /// span parents to `trace.parent_span_id` and the slow-capture
+  /// decision stays with the caller.
   Result<std::vector<BatchResult>> SubmitBatches(
       const std::string& tenant,
       const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
@@ -152,36 +185,61 @@ class RemoteBackend : public CoverBackend {
   Result<std::string> Metrics() override;
   Status DropCatalog(const std::string& tenant) override;
 
-  /// Reads the shard process's span rings back (see CoverClient).
+  /// Reads the server process's span rings back (main + slow), in ring
+  /// append order — the raw material for a stitched cross-process tree.
   Result<std::vector<obs::SpanRecord>> TraceDump();
 
-  /// Migration steps, forwarded to the shard with the same
-  /// reconnect-and-reopen discipline as every other call.
+  /// Migration, step 1: the server drains the tenant's in-service
+  /// batches, then ships its cover cache as .ccsnap snapshot bytes.
   Result<std::string> FetchSnapshot(const std::string& tenant);
+
+  /// Migration, step 2 (against the *target* server): open the tenant
+  /// from spec text and warm-start its cache from `snapshot`. The reply
+  /// reports the warm-start's restored/rejected line counts.
   Result<OpenCatalogReplyInfo> OpenFromSnapshot(const std::string& tenant,
                                                 const std::string& spec_text,
                                                 std::string_view snapshot);
 
-  /// Asks the shard's server process to wind down.
+  /// Asks the server process to wind down (it stops accepting and its
+  /// owner exits); the reply confirms receipt.
   Status Shutdown();
 
-  /// Connects now (otherwise the first call connects lazily).
+  /// Connects now (otherwise the first call connects lazily), retrying
+  /// per the options. NotFound when every attempt fails,
+  /// DeadlineExceeded when connect_timeout elapses first.
   Status Connect() { return EnsureConnected(); }
 
   /// Drops the TCP connection without telling the server — the test
   /// hook for the reconnect path (a real drop comes from a socket
   /// deadline or a dying link). The next call reconnects and replays
   /// this backend's catalog opens.
-  void CloseConnection() { client_.Close(); }
+  void CloseConnection();
 
-  bool connected() const { return client_.connected(); }
+  bool connected() const { return fd_ >= 0; }
 
  private:
   /// Connect + replay the remembered catalog opens when the connection
   /// is down; no-op while it is up.
   Status EnsureConnected();
+  /// The retrying socket connect behind EnsureConnected.
+  Status ConnectSocket();
+  /// EnsureConnected, then one frame out and one reply back, checking
+  /// the reply type. A failed read drops the connection (the stream has
+  /// no resync point), so the next call reconnects.
+  Result<std::string> Call(FrameType request, std::string_view payload,
+                           FrameType expected_reply);
+  /// The frame exchange itself, on an open connection.
+  Result<std::string> RoundTrip(FrameType request, std::string_view payload,
+                                FrameType expected_reply);
+  /// Shared submit body; `edge` marks this backend as the trace's edge
+  /// (slow capture applies to the round trip here, not at a caller).
+  Result<std::vector<BatchResult>> SubmitBatchesTraced(
+      const std::string& tenant,
+      const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
+      const obs::TraceContext& trace, bool edge);
 
-  CoverClient client_;
+  CoverClientOptions options_;
+  int fd_ = -1;
   /// Tenant -> spec text this backend opened, replayed on reconnect.
   std::map<std::string, std::string> opened_;
 };

@@ -102,7 +102,7 @@ class CoverRouter : public CoverBackend {
 
   /// One shard's span rings (see RemoteBackend::TraceDump), each record
   /// stamped with the shard index it came from — the raw material the
-  /// route CLI stitches into cross-shard trees.
+  /// routing `cfdprop_cli drive` stitches into cross-shard trees.
   Result<std::vector<obs::SpanRecord>> TraceDumpFrom(size_t shard);
 
   Status DropCatalog(const std::string& tenant) override;

@@ -1,4 +1,6 @@
-#include "src/net/cover_client.h"
+// RemoteBackend (declared in cover_backend.h): the wire client of one
+// CoverServer — socket, frames, and reconnect-and-reopen in one class.
+#include "src/net/cover_backend.h"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -53,13 +55,33 @@ int ConnectWithBudget(int fd, const sockaddr_in& addr,
 
 }  // namespace
 
-CoverClient::CoverClient(CoverClientOptions options)
+RemoteBackend::RemoteBackend(CoverClientOptions options)
     : options_(std::move(options)) {}
 
-CoverClient::~CoverClient() { Close(); }
+RemoteBackend::~RemoteBackend() { CloseConnection(); }
 
-Status CoverClient::Connect() {
+Status RemoteBackend::EnsureConnected() {
   if (fd_ >= 0) return Status::OK();
+  CFDPROP_RETURN_NOT_OK(ConnectSocket());
+  // Replay this backend's catalog opens so the conversation resumes
+  // where the dropped one left off; the server's same-text re-open is
+  // idempotent, so a catalog that survived server-side is a no-op.
+  for (const auto& [tenant, spec_text] : opened_) {
+    auto reply = RoundTrip(
+        FrameType::kOpenCatalog,
+        EncodeOpenCatalogRequest(OpenCatalogRequest{tenant, spec_text}),
+        FrameType::kOpenCatalogReply);
+    Status reopened = reply.ok() ? DecodeOpenCatalogReply(*reply).status()
+                                 : reply.status();
+    if (!reopened.ok()) {
+      CloseConnection();
+      return reopened;
+    }
+  }
+  return Status::OK();
+}
+
+Status RemoteBackend::ConnectSocket() {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
@@ -129,17 +151,23 @@ Status CoverClient::Connect() {
                           last_error + ")");
 }
 
-void CoverClient::Close() {
+void RemoteBackend::CloseConnection() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
-Result<std::string> CoverClient::RoundTrip(FrameType request,
-                                           std::string_view payload,
-                                           FrameType expected_reply) {
-  if (fd_ < 0) return Status::NotFound("client is not connected");
+Result<std::string> RemoteBackend::Call(FrameType request,
+                                        std::string_view payload,
+                                        FrameType expected_reply) {
+  CFDPROP_RETURN_NOT_OK(EnsureConnected());
+  return RoundTrip(request, payload, expected_reply);
+}
+
+Result<std::string> RemoteBackend::RoundTrip(FrameType request,
+                                             std::string_view payload,
+                                             FrameType expected_reply) {
   if (payload.size() > kMaxFramePayload) {
     // The server would reject the header anyway; fail with a typed
     // error before shipping megabytes it will never parse.
@@ -153,11 +181,11 @@ Result<std::string> CoverClient::RoundTrip(FrameType request,
   if (!reply.ok()) {
     // A failed read leaves the stream unsynchronized — drop the
     // connection so the next call reconnects instead of misparsing.
-    Close();
+    CloseConnection();
     return reply.status();
   }
   if (reply->first != expected_reply) {
-    Close();
+    CloseConnection();
     return Status::InvalidArgument(
         "wire frame rejected: unexpected reply type " +
         std::to_string(static_cast<int>(reply->first)));
@@ -165,52 +193,45 @@ Result<std::string> CoverClient::RoundTrip(FrameType request,
   return std::move(reply->second);
 }
 
-Result<OpenCatalogReplyInfo> CoverClient::OpenCatalog(
+Result<OpenCatalogReplyInfo> RemoteBackend::OpenCatalog(
     const std::string& tenant, const std::string& spec_text) {
   OpenCatalogRequest request{tenant, spec_text};
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kOpenCatalog, EncodeOpenCatalogRequest(request),
-                FrameType::kOpenCatalogReply));
-  return DecodeOpenCatalogReply(payload);
+      Call(FrameType::kOpenCatalog, EncodeOpenCatalogRequest(request),
+           FrameType::kOpenCatalogReply));
+  CFDPROP_ASSIGN_OR_RETURN(OpenCatalogReplyInfo info,
+                           DecodeOpenCatalogReply(payload));
+  opened_[tenant] = spec_text;
+  return info;
 }
 
-Result<WireBatchResult> CoverClient::SubmitBatch(
-    const std::string& tenant, const std::vector<std::string>& views,
-    ValuePool& pool) {
-  CFDPROP_ASSIGN_OR_RETURN(std::vector<WireBatchResult> batches,
-                           SubmitBatches(tenant, {views}, pool));
-  if (batches.size() != 1) {
-    return Status::Internal("server answered " +
-                            std::to_string(batches.size()) +
-                            " batches for a single submit");
-  }
-  return std::move(batches.front());
-}
-
-Result<std::vector<WireBatchResult>> CoverClient::SubmitBatches(
+Result<std::vector<BatchResult>> RemoteBackend::SubmitBatches(
     const std::string& tenant,
     const std::vector<std::vector<std::string>>& batches, ValuePool& pool) {
   obs::Tracer* tracer = obs::ProcessTracer();
   if (tracer == nullptr) {
     return SubmitBatchesTraced(tenant, batches, pool, {}, /*edge=*/false);
   }
-  // No caller-started trace: this client IS the edge.
+  // No caller-started trace: this backend IS the edge.
   return SubmitBatchesTraced(tenant, batches, pool, tracer->StartTrace(),
                              /*edge=*/true);
 }
 
-Result<std::vector<WireBatchResult>> CoverClient::SubmitBatches(
+Result<std::vector<BatchResult>> RemoteBackend::SubmitBatches(
     const std::string& tenant,
     const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
     const obs::TraceContext& trace) {
   return SubmitBatchesTraced(tenant, batches, pool, trace, /*edge=*/false);
 }
 
-Result<std::vector<WireBatchResult>> CoverClient::SubmitBatchesTraced(
+Result<std::vector<BatchResult>> RemoteBackend::SubmitBatchesTraced(
     const std::string& tenant,
     const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
     const obs::TraceContext& trace, bool edge) {
+  // Connect (and replay opens) outside the rpc span: the span times the
+  // submit's own round trip, nothing else.
+  CFDPROP_RETURN_NOT_OK(EnsureConnected());
   obs::Tracer* tracer = obs::ProcessTracer();
   uint64_t span_id = 0;
   uint64_t start_us = 0;
@@ -232,8 +253,10 @@ Result<std::vector<WireBatchResult>> CoverClient::SubmitBatchesTraced(
     if (span_id == 0) span_id = tracer->NewSpanId();
     start_us = tracer->NowUs();
   }
-  auto finish = [&] {
-    if (!timed) return;
+  auto payload =
+      RoundTrip(FrameType::kSubmitBatch, EncodeSubmitBatchRequest(request),
+                FrameType::kSubmitBatchReply);
+  if (timed) {
     const uint64_t dur_us = tracer->NowUs() - start_us;
     if (edge) {
       tracer->RecordEdge(trace, span_id, "rpc", start_us, dur_us, tenant);
@@ -241,13 +264,9 @@ Result<std::vector<WireBatchResult>> CoverClient::SubmitBatchesTraced(
       tracer->Record(trace, span_id, trace.parent_span_id, "rpc", start_us,
                      dur_us, tenant);
     }
-  };
-  auto payload =
-      RoundTrip(FrameType::kSubmitBatch, EncodeSubmitBatchRequest(request),
-                FrameType::kSubmitBatchReply);
-  finish();
+  }
   CFDPROP_RETURN_NOT_OK(payload.status());
-  CFDPROP_ASSIGN_OR_RETURN(std::vector<WireBatchResult> decoded,
+  CFDPROP_ASSIGN_OR_RETURN(std::vector<BatchResult> decoded,
                            DecodeSubmitBatchReply(*payload, pool));
   if (decoded.size() != batches.size()) {
     return Status::Internal(
@@ -257,36 +276,45 @@ Result<std::vector<WireBatchResult>> CoverClient::SubmitBatchesTraced(
   return decoded;
 }
 
-Result<WireServiceStats> CoverClient::Stats() {
+Result<WireServiceStats> RemoteBackend::Stats() {
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kStats, "", FrameType::kStatsReply));
+      Call(FrameType::kStats, "", FrameType::kStatsReply));
   return DecodeStatsReply(payload);
 }
 
-Result<std::string> CoverClient::Metrics() {
+Result<std::string> RemoteBackend::Metrics() {
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kMetrics, "", FrameType::kMetricsReply));
+      Call(FrameType::kMetrics, "", FrameType::kMetricsReply));
   return DecodeMetricsReply(payload);
 }
 
-Result<std::vector<obs::SpanRecord>> CoverClient::TraceDump() {
+Result<std::vector<obs::SpanRecord>> RemoteBackend::TraceDump() {
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kTraceDump, "", FrameType::kTraceDumpReply));
+      Call(FrameType::kTraceDump, "", FrameType::kTraceDumpReply));
   return DecodeTraceDumpReply(payload);
 }
 
-Result<std::string> CoverClient::FetchSnapshot(const std::string& tenant) {
+Status RemoteBackend::DropCatalog(const std::string& tenant) {
+  auto payload = Call(FrameType::kDropCatalog, EncodeStringRequest(tenant),
+                      FrameType::kDropCatalogReply);
+  if (!payload.ok()) return payload.status();
+  Status dropped = DecodeStatusReply(*payload);
+  if (dropped.ok()) opened_.erase(tenant);
+  return dropped;
+}
+
+Result<std::string> RemoteBackend::FetchSnapshot(const std::string& tenant) {
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kFetchSnapshot, EncodeStringRequest(tenant),
-                FrameType::kFetchSnapshotReply));
+      Call(FrameType::kFetchSnapshot, EncodeStringRequest(tenant),
+           FrameType::kFetchSnapshotReply));
   return DecodeFetchSnapshotReply(payload);
 }
 
-Result<OpenCatalogReplyInfo> CoverClient::OpenFromSnapshot(
+Result<OpenCatalogReplyInfo> RemoteBackend::OpenFromSnapshot(
     const std::string& tenant, const std::string& spec_text,
     std::string_view snapshot) {
   OpenFromSnapshotRequest request;
@@ -295,23 +323,17 @@ Result<OpenCatalogReplyInfo> CoverClient::OpenFromSnapshot(
   request.snapshot = std::string(snapshot);
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
-      RoundTrip(FrameType::kOpenFromSnapshot,
-                EncodeOpenFromSnapshotRequest(request),
-                FrameType::kOpenFromSnapshotReply));
-  return DecodeOpenCatalogReply(payload);
+      Call(FrameType::kOpenFromSnapshot,
+           EncodeOpenFromSnapshotRequest(request),
+           FrameType::kOpenFromSnapshotReply));
+  CFDPROP_ASSIGN_OR_RETURN(OpenCatalogReplyInfo info,
+                           DecodeOpenCatalogReply(payload));
+  opened_[tenant] = spec_text;
+  return info;
 }
 
-Status CoverClient::DropCatalog(const std::string& tenant) {
-  auto payload = RoundTrip(FrameType::kDropCatalog,
-                           EncodeStringRequest(tenant),
-                           FrameType::kDropCatalogReply);
-  if (!payload.ok()) return payload.status();
-  return DecodeStatusReply(*payload);
-}
-
-Status CoverClient::Shutdown() {
-  auto payload =
-      RoundTrip(FrameType::kShutdown, "", FrameType::kShutdownReply);
+Status RemoteBackend::Shutdown() {
+  auto payload = Call(FrameType::kShutdown, "", FrameType::kShutdownReply);
   if (!payload.ok()) return payload.status();
   return DecodeStatusReply(*payload);
 }

@@ -18,7 +18,7 @@
 //
 // Every request frame gets exactly one reply frame (type = request type
 // with kReplyBit set). Every reply payload begins with a wire-encoded
-// Status — StatusCode survives the trip, so CoverClient hands callers
+// Status — StatusCode survives the trip, so RemoteBackend hands callers
 // the same typed errors (NotFound, ResourceExhausted, ...) an
 // in-process CatalogService call would return.
 //

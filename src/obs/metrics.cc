@@ -172,7 +172,7 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   Child& child = family->children[RenderLabels(labels)];
   if (!child.histogram) {
     child.labels = std::move(labels);
-    child.histogram = std::make_unique<Histogram>(enabled_);
+    child.histogram = std::make_unique<Histogram>();
   }
   return child.histogram.get();
 }

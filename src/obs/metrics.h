@@ -91,21 +91,16 @@ class Gauge {
 
 /// Log-bucketed latency histogram. Record() is lock-free: one bucket
 /// fetch_add plus one sum fetch_add (nanoseconds, so the sum is a plain
-/// integer add). When constructed with `buckets_enabled = false` the
-/// bucket increment is skipped and only the sum accumulates — the
-/// "registry-disabled" path BM_MetricsOverhead compares against.
+/// integer add).
 class Histogram {
  public:
-  explicit Histogram(bool buckets_enabled = true)
-      : buckets_enabled_(buckets_enabled) {
+  Histogram() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   }
 
   void Record(double us) {
     sum_ns_.fetch_add(ToNanos(us), std::memory_order_relaxed);
-    if (buckets_enabled_) {
-      buckets_[BucketFor(us)].fetch_add(1, std::memory_order_relaxed);
-    }
+    buckets_[BucketFor(us)].fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Smallest bucket whose upper bound admits `us`. Exact powers of two
@@ -129,13 +124,6 @@ class Histogram {
     return s;
   }
 
-  /// The value-sum alone (microseconds) — the accumulator role this
-  /// class takes over from EngineStats' old CAS-looped atomic<double>.
-  double SumUs() const {
-    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) /
-           1000.0;
-  }
-
  private:
   static uint64_t ToNanos(double us) {
     return us > 0 ? static_cast<uint64_t>(us * 1000.0 + 0.5) : 0;
@@ -143,7 +131,6 @@ class Histogram {
 
   std::array<std::atomic<uint64_t>, kLatencyBuckets> buckets_;
   std::atomic<uint64_t> sum_ns_{0};
-  const bool buckets_enabled_;
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };
@@ -176,14 +163,10 @@ struct MetricFamilySamples {
 /// remain valid until the registry is destroyed.
 class MetricsRegistry {
  public:
-  /// `enabled = false` builds histograms on the sum-only path and lets
-  /// instrumentation sites skip optional clock reads.
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// Idempotent: the same name+labels returns the same handle. A name
   /// reused with a different metric type returns nullptr.
@@ -223,7 +206,6 @@ class MetricsRegistry {
   Family* FamilyFor(std::string_view name, std::string_view help,
                     MetricType type);
 
-  const bool enabled_;
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
   std::map<size_t, std::function<std::vector<MetricFamilySamples>()>>

@@ -1,7 +1,7 @@
 // Sampling distributed tracer: the per-request counterpart of the
 // aggregate metrics in src/obs/metrics.h.
 //
-// A request entering the system at an edge (CoverRouter, CoverClient,
+// A request entering the system at an edge (CoverRouter, RemoteBackend,
 // InProcBackend) gets a TraceContext — a trace id, the id of the span
 // that encloses whatever happens next, and a sampling decision made
 // once at that edge. The context rides the wire inside the submit-batch
@@ -98,7 +98,7 @@ struct TraceContext {
 
 /// One recorded span, as read back out of a ring (slot fields widened
 /// back into strings). `shard` is -1 when the recording site had no
-/// shard identity; the stitching side may fill it in (the route CLI
+/// shard identity; the stitching side may fill it in (the router
 /// labels each shard's dump with the shard it was fetched from).
 struct SpanRecord {
   uint64_t trace_id = 0;

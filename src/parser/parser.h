@@ -87,7 +87,7 @@ struct Spec {
   /// Serving round declared by `serve V1, V2, V1` statements (in file
   /// order, repeats allowed — a view listed twice models a hot request).
   /// Empty = serve every declared view once, in declaration order,
-  /// which is what the batch/serve CLI modes fall back to.
+  /// which is what the batch/drive CLI modes fall back to.
   std::vector<std::string> round_views;
 
   /// The request round a serving CLI mode should replay: `round_views`

@@ -87,7 +87,7 @@ std::string TenantStatsSnapshot::ToString() const {
 }
 
 CatalogService::CatalogService(ServiceOptions options)
-    : options_(std::move(options)), metrics_(options_.engine.metrics) {
+    : options_(std::move(options)) {
   // Same guard as the engine's worker pool: a dispatcher count past any
   // plausible hardware just burns thread stacks.
   constexpr size_t kMaxDispatchers = 256;
@@ -351,19 +351,7 @@ Status CatalogService::EnqueueLocked(Job job) {
   // Lifecycle stamp: queue-wait is measured from here, and the submit
   // entry -> admitted span is the "admission" stage.
   job.admitted_at = std::chrono::steady_clock::now();
-  if (tenant.stages_.admission) {
-    tenant.stages_.admission->Record(
-        MicrosBetween(job.submit_start, job.admitted_at));
-  }
-  if (job.trace.sampled) {
-    if (obs::Tracer* tracer = obs::ProcessTracer()) {
-      tracer->Record(job.trace, tracer->NewSpanId(), job.trace.parent_span_id,
-                     "admission", obs::Tracer::ToUs(job.submit_start),
-                     static_cast<uint64_t>(
-                         MicrosBetween(job.submit_start, job.admitted_at)),
-                     tenant.name());
-    }
-  }
+  RecordStage(job, Tenant::kAdmission, job.submit_start, job.admitted_at);
   queues_[tenant.name()].push_back(std::move(job));
   ++total_queued_;
   batches_submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -493,31 +481,12 @@ void CatalogService::DispatcherLoop() {
     // stage (a slow future consumer or callback shows up here, not in
     // propagate).
     const auto popped_at = std::chrono::steady_clock::now();
-    const Tenant::StageTimers& stages = job.tenant->stages_;
-    if (stages.queue_wait) {
-      stages.queue_wait->Record(MicrosBetween(job.admitted_at, popped_at));
-    }
-    // Stage spans ride the exact stamps the histograms read — a sampled
-    // job adds span-ring appends but zero extra clock calls here.
-    obs::Tracer* tracer = job.trace.sampled ? obs::ProcessTracer() : nullptr;
-    auto span = [&](const char* name,
-                    std::chrono::steady_clock::time_point from,
-                    std::chrono::steady_clock::time_point to) {
-      if (tracer == nullptr) return;
-      tracer->Record(job.trace, tracer->NewSpanId(), job.trace.parent_span_id,
-                     name, obs::Tracer::ToUs(from),
-                     static_cast<uint64_t>(MicrosBetween(from, to)),
-                     job.tenant->name());
-    };
-    span("queue_wait", job.admitted_at, popped_at);
+    RecordStage(job, Tenant::kQueueWait, job.admitted_at, popped_at);
     BatchReply reply;
     reply.tenant = job.tenant->name();
     reply.sequence = job.sequence;
     const auto propagate_start = std::chrono::steady_clock::now();
-    if (stages.dispatch) {
-      stages.dispatch->Record(MicrosBetween(popped_at, propagate_start));
-    }
-    span("dispatch", popped_at, propagate_start);
+    RecordStage(job, Tenant::kDispatch, popped_at, propagate_start);
     // PropagateBatch already converts per-request exceptions to Status;
     // this guard is for anything outside that contract — one tenant's
     // failure must never std::terminate the whole service.
@@ -532,10 +501,7 @@ void CatalogService::DispatcherLoop() {
       }
     }
     const auto propagate_end = std::chrono::steady_clock::now();
-    if (stages.propagate) {
-      stages.propagate->Record(MicrosBetween(propagate_start, propagate_end));
-    }
-    span("propagate", propagate_start, propagate_end);
+    RecordStage(job, Tenant::kPropagate, propagate_start, propagate_end);
     batches_completed_.fetch_add(1, std::memory_order_relaxed);
     if (!job.callback) {
       job.promise.set_value(std::move(reply));
@@ -548,13 +514,8 @@ void CatalogService::DispatcherLoop() {
       } catch (...) {
       }
     }
-    if (stages.reply || tracer != nullptr) {
-      const auto reply_end = std::chrono::steady_clock::now();
-      if (stages.reply) {
-        stages.reply->Record(MicrosBetween(propagate_end, reply_end));
-      }
-      span("reply", propagate_end, reply_end);
-    }
+    RecordStage(job, Tenant::kReply, propagate_end,
+                std::chrono::steady_clock::now());
     // Release the running slot only after the reply is delivered (a
     // batch "in flight" admission-wise is one whose caller hasn't heard
     // back yet), and notify: a queued batch of this tenant may have been
@@ -673,16 +634,24 @@ void CatalogService::BindStageTimers(Tenant& tenant) {
   constexpr std::string_view kName = "cfdprop_stage_latency_us";
   constexpr std::string_view kHelp =
       "Per-stage batch lifecycle latency in microseconds";
-  auto stage = [&](const char* stage_name) {
-    return metrics_.GetHistogram(
+  for (size_t s = 0; s < Tenant::kNumStages; ++s) {
+    tenant.stages_[s] = metrics_.GetHistogram(
         kName, kHelp,
-        {{"tenant", tenant.name_}, {"stage", stage_name}});
-  };
-  tenant.stages_.admission = stage("admission");
-  tenant.stages_.queue_wait = stage("queue_wait");
-  tenant.stages_.dispatch = stage("dispatch");
-  tenant.stages_.propagate = stage("propagate");
-  tenant.stages_.reply = stage("reply");
+        {{"tenant", tenant.name_}, {"stage", Tenant::kStageNames[s]}});
+  }
+}
+
+void CatalogService::RecordStage(const Job& job, Tenant::Stage stage,
+                                 std::chrono::steady_clock::time_point from,
+                                 std::chrono::steady_clock::time_point to) {
+  const double us = MicrosBetween(from, to);
+  job.tenant->stages_[stage]->Record(us);
+  if (!job.trace.sampled) return;
+  if (obs::Tracer* tracer = obs::ProcessTracer()) {
+    tracer->Record(job.trace, tracer->NewSpanId(), job.trace.parent_span_id,
+                   Tenant::kStageNames[stage], obs::Tracer::ToUs(from),
+                   static_cast<uint64_t>(us), job.tenant->name());
+  }
 }
 
 std::vector<obs::MetricFamilySamples> CatalogService::CollectFamilies() const {

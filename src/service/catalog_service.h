@@ -42,6 +42,7 @@
 #ifndef CFDPROP_SERVICE_CATALOG_SERVICE_H_
 #define CFDPROP_SERVICE_CATALOG_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -190,18 +191,23 @@ class Tenant {
   std::atomic<uint64_t> admission_queued{0};   // waiting in the tenant queue
   std::atomic<uint64_t> admission_running{0};  // held by a dispatcher
 
-  /// Per-stage latency histograms (`cfdprop_stage_latency_us{tenant=,
-  /// stage=}`), owned by the service's MetricsRegistry and resolved at
-  /// OpenCatalog — re-opening a name continues the same series. Only
-  /// service code records into them.
-  struct StageTimers {
-    obs::Histogram* admission = nullptr;   // submit entry -> enqueued
-    obs::Histogram* queue_wait = nullptr;  // enqueued -> dispatcher pop
-    obs::Histogram* dispatch = nullptr;    // pop -> batch handed to engine
-    obs::Histogram* propagate = nullptr;   // Engine::PropagateBatch wall
-    obs::Histogram* reply = nullptr;       // promise/callback delivery
+  /// The batch lifecycle stages, in order.
+  enum Stage {
+    kAdmission,  // submit entry -> enqueued
+    kQueueWait,  // enqueued -> dispatcher pop
+    kDispatch,   // pop -> batch handed to engine
+    kPropagate,  // Engine::PropagateBatch wall
+    kReply,      // promise/callback delivery
+    kNumStages
   };
-  StageTimers stages_;
+  /// Each stage's `stage` label and span name.
+  static constexpr std::array<const char*, kNumStages> kStageNames = {
+      "admission", "queue_wait", "dispatch", "propagate", "reply"};
+  /// Per-stage latency histograms (`cfdprop_stage_latency_us{tenant=,
+  /// stage=}`), owned by the service's MetricsRegistry and bound at
+  /// OpenCatalog — re-opening a name continues the same series. Only
+  /// CatalogService::RecordStage records into them.
+  std::array<obs::Histogram*, kNumStages> stages_{};
 };
 
 using TenantHandle = std::shared_ptr<Tenant>;
@@ -442,14 +448,19 @@ class CatalogService {
   void PolicyLoop();
   /// Resolves the tenant's five stage histograms out of the registry.
   void BindStageTimers(Tenant& tenant);
+  /// Records one lifecycle stage of `job` from the same two stamps: the
+  /// tenant's stage histogram always, and the stage span when the job
+  /// is sampled.
+  static void RecordStage(const Job& job, Tenant::Stage stage,
+                          std::chrono::steady_clock::time_point from,
+                          std::chrono::steady_clock::time_point to);
   /// The render-time collector: one Stats() snapshot expanded into the
   /// full cfdprop_* family set (counters, gauges, engine latency
   /// histograms). Registered at construction.
   std::vector<obs::MetricFamilySamples> CollectFamilies() const;
 
   ServiceOptions options_;
-  /// Declared right after options_ so the ctor can read the enabled
-  /// flag (options_.engine.metrics); outlives every service thread.
+  /// Outlives every service thread.
   obs::MetricsRegistry metrics_;
   size_t metrics_collector_id_ = 0;
 

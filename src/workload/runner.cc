@@ -67,6 +67,16 @@ struct PathRuntime {
   }
 };
 
+/// How every wire client of the runner reaches `server`.
+net::CoverClientOptions ClientOptionsFor(const net::CoverServer& server,
+                                         const RunnerOptions& options) {
+  net::CoverClientOptions copts;
+  copts.port = server.port();
+  copts.connect_timeout = std::chrono::milliseconds(10000);
+  copts.io_timeout = options.io_timeout;
+  return copts;
+}
+
 /// Spins until `tenant` has no queued or running batches. Admission
 /// releases a slot only after the reply is delivered, so a worker that
 /// just drained its futures can still observe the decrement a beat
@@ -112,11 +122,8 @@ class Worker {
         backend_ = rt_.router.get();
         break;
       case RunnerPath::kTcp: {
-        net::CoverClientOptions copts;
-        copts.port = rt_.servers[0]->port();
-        copts.connect_timeout = std::chrono::milliseconds(10000);
-        copts.io_timeout = options_.io_timeout;
-        remote_ = std::make_unique<net::RemoteBackend>(copts);
+        remote_ = std::make_unique<net::RemoteBackend>(
+            ClientOptionsFor(*rt_.servers[0], options_));
         CFDPROP_RETURN_NOT_OK(remote_->Connect());
         backend_ = remote_.get();
         break;
@@ -404,11 +411,7 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   if (options.path == RunnerPath::kRouted) {
     net::CoverRouterOptions ropts;
     for (auto& server : rt.servers) {
-      net::CoverClientOptions copts;
-      copts.port = server->port();
-      copts.connect_timeout = std::chrono::milliseconds(10000);
-      copts.io_timeout = options.io_timeout;
-      ropts.shards.push_back(copts);
+      ropts.shards.push_back(ClientOptionsFor(*server, options));
     }
     rt.router = std::make_unique<net::CoverRouter>(std::move(ropts));
   }
@@ -477,30 +480,23 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   for (const auto& w : workers) report.admit_pattern += w->pattern();
 
   // Admission totals through the path under test: the stats wire frame
-  // on tcp, the router's cross-shard aggregate on routed, Stats() in
-  // process — so the determinism suite compares what a real remote
-  // client would see.
-  if (options.path == RunnerPath::kTcp) {
-    net::CoverClientOptions copts;
-    copts.port = rt.servers[0]->port();
-    copts.connect_timeout = std::chrono::milliseconds(10000);
-    net::CoverClient stats_client(copts);
-    CFDPROP_RETURN_NOT_OK(stats_client.Connect());
+  // on tcp (a fresh connection — each worker's closed with it), the
+  // router's cross-shard aggregate on routed, the service in process —
+  // so the determinism suite compares what a real remote client would
+  // see.
+  {
+    std::unique_ptr<net::RemoteBackend> stats_remote;
+    net::CoverBackend* stats_backend =
+        rt.inproc ? static_cast<net::CoverBackend*>(rt.inproc.get())
+                  : rt.router.get();
+    if (options.path == RunnerPath::kTcp) {
+      stats_remote = std::make_unique<net::RemoteBackend>(
+          ClientOptionsFor(*rt.servers[0], options));
+      stats_backend = stats_remote.get();
+    }
     CFDPROP_ASSIGN_OR_RETURN(net::WireServiceStats wire,
-                             stats_client.Stats());
+                             stats_backend->Stats());
     for (const net::WireTenantStats& t : wire.tenants) {
-      report.admitted += t.admitted;
-      report.rejected += t.admission_rejected;
-    }
-  } else if (options.path == RunnerPath::kRouted) {
-    CFDPROP_ASSIGN_OR_RETURN(net::WireServiceStats wire, rt.router->Stats());
-    for (const net::WireTenantStats& t : wire.tenants) {
-      report.admitted += t.admitted;
-      report.rejected += t.admission_rejected;
-    }
-  } else {
-    const ServiceStatsSnapshot stats = rt.services[0]->Stats();
-    for (const TenantStatsSnapshot& t : stats.tenants) {
       report.admitted += t.admitted;
       report.rejected += t.admission_rejected;
     }

@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_server.h"
 #include "src/net/socket_io.h"
 #include "src/parser/parser.h"
@@ -455,7 +455,7 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
   // ...while the server keeps serving well-formed clients.
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
@@ -476,7 +476,7 @@ TEST(CoverServerTest, TypedErrorsAndShutdownHandshake) {
 
   CoverClientOptions options;
   options.port = server.port();
-  CoverClient client(options);
+  RemoteBackend client(options);
   ASSERT_TRUE(client.Connect().ok());
 
   // Unparsable spec text → InvalidArgument; re-open with identical text
@@ -516,7 +516,7 @@ TEST(CoverServerTest, TypedErrorsAndShutdownHandshake) {
   server.Stop();
 }
 
-/// Connects a raw (non-CoverClient) socket to the server.
+/// Connects a raw (non-RemoteBackend) socket to the server.
 int RawConnect(uint16_t port, int rcvbuf_bytes = 0) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -571,7 +571,7 @@ TEST(CoverServerDeadlineTest, HungSenderMidFrameTripsTheReadDeadline) {
   ::close(fd);
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   EXPECT_TRUE(client.Stats().ok());
   server.Stop();
@@ -621,7 +621,7 @@ TEST(CoverServerDeadlineTest, HungReaderTripsTheSendDeadlineAndFreesTheSlot) {
 
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   Catalog scratch;
   auto served = client.SubmitBatch("eu", {"ByRegion"}, scratch.pool());
@@ -630,7 +630,7 @@ TEST(CoverServerDeadlineTest, HungReaderTripsTheSendDeadlineAndFreesTheSlot) {
   server.Stop();
 }
 
-TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
+TEST(RemoteBackendDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   // A listener that accepts and then never speaks.
   int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
@@ -646,7 +646,7 @@ TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   CoverClientOptions options;
   options.port = ntohs(addr.sin_port);
   options.io_timeout = std::chrono::milliseconds(200);
-  CoverClient client(options);
+  RemoteBackend client(options);
   ASSERT_TRUE(client.Connect().ok());
   auto stats = client.Stats();
   ASSERT_FALSE(stats.ok());
@@ -656,7 +656,7 @@ TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   ::close(lfd);
 }
 
-TEST(CoverClientDeadlineTest, ConnectHonorsTheOverallDeadline) {
+TEST(RemoteBackendDeadlineTest, ConnectHonorsTheOverallDeadline) {
   // Grab an ephemeral port, then close it so nothing listens there.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -676,7 +676,7 @@ TEST(CoverClientDeadlineTest, ConnectHonorsTheOverallDeadline) {
   options.connect_attempts = 1000;
   options.retry_delay = std::chrono::milliseconds(100);
   options.connect_timeout = std::chrono::milliseconds(300);
-  CoverClient client(options);
+  RemoteBackend client(options);
   const auto t0 = std::chrono::steady_clock::now();
   Status connected = client.Connect();
   const auto elapsed = std::chrono::steady_clock::now() - t0;

@@ -115,17 +115,6 @@ TEST(HistogramTest, SnapshotInvariantUnderConcurrentWriters) {
   EXPECT_EQ(total, s.count);
 }
 
-TEST(HistogramTest, DisabledBucketsKeepTheSum) {
-  // The "registry-disabled" path: no bucket increments, but the value
-  // sum (which backs EngineStatsSnapshot's total/compute milliseconds)
-  // still accumulates.
-  Histogram h(/*buckets_enabled=*/false);
-  h.Record(250.0);
-  h.Record(750.0);
-  EXPECT_EQ(h.Snapshot().count, 0u);
-  EXPECT_NEAR(h.SumUs(), 1000.0, 1e-6);
-}
-
 TEST(MetricsRegistryTest, HandlesAreIdempotentAndTyped) {
   MetricsRegistry registry;
   Counter* a = registry.GetCounter("req_total", "requests");

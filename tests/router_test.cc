@@ -19,7 +19,6 @@
 #include "src/engine/snapshot.h"
 #include "src/net/cover_backend.h"
 #include "src/obs/exporter.h"
-#include "src/net/cover_client.h"
 #include "src/net/cover_server.h"
 #include "src/parser/parser.h"
 #include "src/service/catalog_service.h"
@@ -160,9 +159,10 @@ TEST(RemoteBackendTest, ReconnectReopensCatalogsAfterServerRestart) {
   ASSERT_TRUE(after_drop->status.ok());
 
   // The hard case — the historical bug: the server process restarts
-  // (fresh service, no catalogs) on the same port. A raw CoverClient
-  // that reconnects now gets NotFound on every submit, because its
-  // open-catalog state died with the old server.
+  // (fresh service, no catalogs) on the same port. A fresh
+  // RemoteBackend — one that never opened a catalog, so it replays
+  // nothing — gets NotFound on every submit, because the open-catalog
+  // state died with the old server.
   shard.reset();
   CatalogService fresh_service(DeterministicOptions());
   CoverServerOptions sopts;
@@ -170,7 +170,7 @@ TEST(RemoteBackendTest, ReconnectReopensCatalogsAfterServerRestart) {
   CoverServer fresh_server(fresh_service, sopts);
   ASSERT_TRUE(fresh_server.Start().ok());
 
-  CoverClient raw(copts);
+  RemoteBackend raw(copts);
   ASSERT_TRUE(raw.Connect().ok());
   Catalog raw_scratch;
   auto lost = raw.SubmitBatch("eu", round, raw_scratch.pool());

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/schema/schema.h"

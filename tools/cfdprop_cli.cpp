@@ -45,12 +45,12 @@
 //               [--trace-dump PATH] [--trace-shift K]
 //               [--slow-threshold-us N] [--trace-seed N]
 //                                    network server mode: a CoverServer
-//                                    (src/net/) in front of the same
-//                                    CatalogService as `serve`. Tenants
-//                                    given on the command line are
-//                                    preloaded; clients can open more by
-//                                    shipping spec text. Runs until a
-//                                    client sends shutdown. --max-inflight/
+//                                    (src/net/) in front of a
+//                                    CatalogService. Tenants given on
+//                                    the command line are preloaded;
+//                                    clients can open more by shipping
+//                                    spec text. Runs until a client
+//                                    sends shutdown. --max-inflight/
 //                                    --max-queue set the per-tenant
 //                                    admission caps (0 = unlimited);
 //                                    --io-timeout arms per-connection
@@ -73,109 +73,98 @@
 //                                    makes the span ids — and thus the
 //                                    dump bytes — deterministic.
 //
-//   cfdprop_cli client [--host H] [--port N] --tenant NAME=SPEC [...]
-//               [--rounds K] [--burst N] [--connect-timeout MS]
-//               [--io-timeout MS] [--no-open] [--quiet]
-//               [--stats] [--metrics] [--trace] [--shutdown]
-//                                    network client mode: opens each
-//                                    --tenant on the server (spec text
-//                                    travels over the wire; --no-open
-//                                    assumes they exist), serves --rounds
-//                                    rounds of each spec's serving round,
-//                                    printing first-round covers exactly
-//                                    like `serve` does (the CI diffs them
-//                                    byte-for-byte). --burst N pipelines
-//                                    N copies of the round in one frame
-//                                    to exercise admission control;
-//                                    --stats prints the server's service
-//                                    stats; --metrics scrapes and prints
-//                                    the server's Prometheus-style text
-//                                    exposition (the METRICS frame);
-//                                    --connect-timeout bounds the whole
-//                                    retrying Connect() and --io-timeout
-//                                    each socket send/recv, both in ms,
-//                                    both surfacing typed
-//                                    DeadlineExceeded (0 = no deadline);
+//   cfdprop_cli drive --backend inproc|HOST:PORT [--backend HOST:PORT ...]
+//               [--tenant NAME=SPEC ...] [--rounds K] [--burst N]
+//               [--quiet] [--stats] [--metrics] [--metrics-dump PATH]
+//               [--trace]
+//               in process:  [--threads N] [--dispatchers N] [--budget N]
+//                            [--snapshot-dir DIR] [--interval-ms N]
+//                            [--dirty N] [--no-churn]
+//               remote:      [--connect-timeout MS] [--io-timeout MS]
+//                            [--no-open] [--shutdown]
+//               2+ backends: [--vnodes N] [--migrate TENANT[=SHARD] ...]
+//                                    serving mode, written against the
+//                                    one serving surface, CoverBackend
+//                                    (src/net/cover_backend.h). The
+//                                    backend follows --backend: `inproc`
+//                                    builds a CatalogService in this
+//                                    process, one HOST:PORT talks to one
+//                                    `listen` server, several HOST:PORTs
+//                                    consistent-hash tenants across them
+//                                    through a CoverRouter. Every
+//                                    backend prints covers byte-
+//                                    identically, so scripts can diff
+//                                    in-process against network serving
+//                                    and a routed cluster against one fat
+//                                    server.
+//
+//                                    Each --tenant opens one spec as a
+//                                    named catalog (the spec text travels
+//                                    to a remote backend; --no-open
+//                                    assumes it is open already) and its
+//                                    serving round is served --rounds
+//                                    times, first-round covers printed.
+//                                    --burst N then pipelines N copies of
+//                                    the round in one call, whose
+//                                    admission is decided atomically;
+//                                    --stats prints the backend's service
+//                                    stats (summed over shards when
+//                                    routed); --metrics prints its
+//                                    Prometheus-style exposition
+//                                    (shard="N" labels when routed) and
+//                                    --metrics-dump writes it to a file;
 //                                    --trace samples every request at
-//                                    this edge, fetches the server's
-//                                    span rings afterwards (the
-//                                    TRACE_DUMP frame) and prints the
-//                                    stitched cross-process span trees;
-//                                    --shutdown stops the server.
+//                                    this edge, fetches each server's
+//                                    span rings afterwards and prints
+//                                    the stitched span trees; --shutdown
+//                                    stops every remote server.
 //
-//   cfdprop_cli route --backend HOST:PORT [--backend HOST:PORT ...]
-//               [--tenant NAME=SPEC ...] [--rounds K] [--vnodes N]
-//               [--connect-timeout MS] [--io-timeout MS]
-//               [--migrate TENANT[=SHARD] ...] [--quiet]
-//               [--stats] [--metrics] [--trace] [--shutdown]
-//                                    routing-tier mode: a CoverRouter
-//                                    (src/net/cover_router.h) consistent-
-//                                    hashes tenants across the given
-//                                    backends (each a `listen` server)
-//                                    and serves exactly like client mode
-//                                    — covers print byte-identically, so
-//                                    scripts can diff a routed cluster
-//                                    against one fat server. --migrate
-//                                    drains, snapshots and moves a
-//                                    tenant to SHARD (default: the next
-//                                    shard clockwise), printing the warm
-//                                    start's restored=/rejected= line,
-//                                    then re-serves and re-prints that
-//                                    tenant's covers; --stats prints the
-//                                    cross-shard aggregate; --metrics
-//                                    merges every shard's exposition
-//                                    into one scrape (shard="N"
-//                                    labels); --trace samples every
-//                                    request at the router edge,
-//                                    fetches every shard's span rings
-//                                    afterwards and prints the stitched
-//                                    cross-shard span trees; --shutdown
-//                                    stops every backend.
+//                                    In process, --budget is the global
+//                                    cover-cache entry budget split
+//                                    across tenants; --snapshot-dir
+//                                    enables warm starts from (and
+//                                    background spills to) per-tenant
+//                                    snapshot files, with the policy
+//                                    knobs --interval-ms/--dirty; each
+//                                    tenant's add-cfd/drop-cfd script
+//                                    then replays while every tenant
+//                                    keeps serving (--no-churn skips it).
+//                                    The wire has no mutation frame, so
+//                                    these flags are refused on remote
+//                                    backends. With 2+ backends,
+//                                    --migrate drains, snapshots and
+//                                    moves a tenant to SHARD (default:
+//                                    the next shard clockwise), prints
+//                                    the warm start's restored=/rejected=
+//                                    line, then re-serves and re-prints
+//                                    that tenant's covers.
 //
-//   cfdprop_cli serve --tenant NAME=SPEC [--tenant NAME=SPEC ...]
-//               [--rounds K] [--threads N] [--dispatchers N]
-//               [--budget N] [--snapshot-dir DIR] [--interval-ms N]
-//               [--dirty N] [--quiet] [--no-churn] [--metrics-dump PATH]
-//                                    multi-tenant mode: each --tenant
-//                                    loads one spec as a named catalog
-//                                    behind one CatalogService and the
-//                                    tenants' rounds are submitted as
-//                                    overlapping async batches for
-//                                    --rounds rounds; each tenant's
-//                                    churn script then replays while
-//                                    every other tenant keeps serving.
-//                                    --budget is the global cover-cache
-//                                    entry budget split across tenants;
-//                                    --snapshot-dir enables warm starts
-//                                    from (and background spills to)
-//                                    per-tenant snapshot files, with the
-//                                    policy knobs --interval-ms/--dirty.
-//
-// Exit status: 0 on success, 1 on usage/parse errors, 2 when --validate
-// found violations or --check found a non-propagated declared CFD.
-
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
-
-#include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <vector>
+// Exit status: 0 on success, 1 on usage/parse/serving errors, 2 when
+// --validate found violations or --check found a non-propagated
+// declared CFD.
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <future>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <initializer_list>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/cover/propcfd_spc.h"
 #include "src/data/eval.h"
 #include "src/data/validate.h"
 #include "src/engine/engine.h"
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/obs/trace.h"
@@ -221,7 +210,7 @@ Status WriteFileText(const std::string& path, std::string_view text) {
 }
 
 /// Creates-if-missing and validates a snapshot directory — fail fast,
-/// or background spills would fail silently and the serve-mode settle
+/// or background spills would fail silently and the drive-mode settle
 /// wait would stall out with a misleading message.
 bool EnsureSnapshotDir(const std::string& dir) {
   if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -342,8 +331,8 @@ int RunValidate(Spec& spec) {
   return 2;
 }
 
-/// `--flag N` parsing shared by the batch and serve modes: digits only
-/// in [0, 2^24] (strtoul would silently wrap '-1' to ULONG_MAX), exits
+/// `--flag N` parsing shared by every serving mode: digits only in
+/// [0, 2^24] (strtoul would silently wrap '-1' to ULONG_MAX), exits
 /// with a message on misuse. Advances *i past the consumed value.
 bool ParseSizeFlag(int argc, char** argv, int* i, const char* flag,
                    size_t* out) {
@@ -366,6 +355,72 @@ bool ParseSizeFlag(int argc, char** argv, int* i, const char* flag,
   return true;
 }
 
+/// `--flag VALUE` for a string value, same contract as ParseSizeFlag.
+bool ParseStringFlag(int argc, char** argv, int* i, const char* flag,
+                     std::string* out) {
+  if (std::strcmp(argv[*i], flag) != 0) return false;
+  if (*i + 1 >= argc) {
+    std::fprintf(stderr, "error: %s needs a value\n", flag);
+    std::exit(1);
+  }
+  *out = argv[++*i];
+  return true;
+}
+
+/// One `--tenant NAME=SPEC`: a tenant name and its spec file.
+struct TenantArg {
+  std::string name;
+  std::string path;
+};
+
+/// `--tenant NAME=SPEC` parsing shared by listen and drive, same
+/// contract as ParseSizeFlag.
+bool ParseTenantFlag(int argc, char** argv, int* i,
+                     std::vector<TenantArg>* out) {
+  std::string arg;
+  if (!ParseStringFlag(argc, argv, i, "--tenant", &arg)) return false;
+  const size_t eq = arg.find('=');
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
+    std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
+                 arg.c_str());
+    std::exit(1);
+  }
+  out->push_back({arg.substr(0, eq), arg.substr(eq + 1)});
+  return true;
+}
+
+/// Prints one served cover the way every serving mode does, so scripts
+/// can diff modes and backends byte for byte: a header line, then
+/// (unless `quiet`) one line per CFD. `pool` must be the pool the
+/// cover's constants were interned into.
+void PrintCover(const std::string& label, const std::string& view_name,
+                const SPCUView& view, const EngineResult& r,
+                const ValuePool& pool, bool quiet) {
+  std::string union_info;
+  if (r.disjunct_count > 1) {
+    union_info = ", union " + std::to_string(r.disjunct_hits) + "/" +
+                 std::to_string(r.disjunct_count) + " disjunct hits";
+  }
+  std::printf("view %s (%zu CFDs%s%s%s, fp=%016llx):\n", label.c_str(),
+              r.cover->cover.size(),
+              r.cover->always_empty ? ", ALWAYS EMPTY" : "",
+              r.cover->truncated ? ", TRUNCATED" : "", union_info.c_str(),
+              static_cast<unsigned long long>(r.fingerprint));
+  if (quiet) return;
+  for (const CFD& c : r.cover->cover) {
+    std::printf("  %s\n",
+                FormatCFD(c, pool, view_name, ViewAttrNames(view)).c_str());
+  }
+}
+
+/// A churn-script CFD rendered against its source relation.
+std::string FormatSourceCFD(const CFD& cfd, const Catalog& catalog) {
+  const RelationSchema& rel = catalog.relation(cfd.relation);
+  return FormatCFD(cfd, catalog.pool(), rel.name(), [&rel](AttrIndex a) {
+    return a < rel.arity() ? rel.attr(a).name : "#" + std::to_string(a);
+  });
+}
+
 int RunBatch(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
@@ -383,22 +438,15 @@ int RunBatch(int argc, char** argv) {
   bool quiet = false;
   std::string snapshot_in, snapshot_out;
   for (int i = 3; i < argc; ++i) {
-    auto str_arg = [&](const char* flag, std::string* out) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a path\n", flag);
-        std::exit(1);
-      }
-      *out = argv[++i];
-      return true;
-    };
-    if (str_arg("--snapshot-in", &snapshot_in)) continue;
-    if (str_arg("--snapshot-out", &snapshot_out)) continue;
     auto int_arg = [&](const char* flag, size_t* out) {
       return ParseSizeFlag(argc, argv, &i, flag, out);
     };
-    if (int_arg("--threads", &options.num_threads)) continue;
-    if (int_arg("--repeat", &repeat)) continue;
+    if (ParseStringFlag(argc, argv, &i, "--snapshot-in", &snapshot_in) ||
+        ParseStringFlag(argc, argv, &i, "--snapshot-out", &snapshot_out) ||
+        int_arg("--threads", &options.num_threads) ||
+        int_arg("--repeat", &repeat)) {
+      continue;
+    }
     if (int_arg("--cache", &options.cache_capacity)) {
       if (options.cache_capacity == 0) options.use_cache = false;
       continue;
@@ -460,36 +508,18 @@ int RunBatch(int argc, char** argv) {
   double elapsed_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  auto print_result = [&](const std::string& name,
-                          const Result<EngineResult>& r) {
-    if (!r.ok()) {
-      rc = Fail(r.status());
-      return;
-    }
-    std::string union_info;
-    if (r->disjunct_count > 1) {
-      union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                   std::to_string(r->disjunct_count) + " disjunct hits";
-    }
-    std::printf("view %s (%zu CFDs%s%s%s, fp=%016llx):\n", name.c_str(),
-                r->cover->cover.size(),
-                r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                r->cover->truncated ? ", TRUNCATED" : "",
-                union_info.c_str(),
-                static_cast<unsigned long long>(r->fingerprint));
-    if (!quiet) {
-      const SPCUView& view = spec->views.at(name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, engine.catalog().pool(), name,
-                              ViewAttrNames(view))
-                        .c_str());
+  auto print_results = [&](const std::vector<Result<EngineResult>>& batch) {
+    for (size_t i = 0; i < round.size() && i < batch.size(); ++i) {
+      const std::string& name = round_names[i];
+      if (!batch[i].ok()) {
+        rc = Fail(batch[i].status());
+        continue;
       }
+      PrintCover(name, name, spec->views.at(name), *batch[i],
+                 engine.catalog().pool(), quiet);
     }
   };
-  for (size_t i = 0; i < round.size() && i < results.size(); ++i) {
-    print_result(round_names[i], results[i]);
-  }
+  print_results(results);
   EngineStatsSnapshot stats = engine.Stats();
   std::printf("== engine stats ==\n  %s\n", stats.ToString().c_str());
   std::printf("  batch: %zu requests in %.2f ms (%.0f covers/sec, "
@@ -518,13 +548,7 @@ int RunBatch(int argc, char** argv) {
   // lines drop (watch invalidations in the stats); every other line
   // keeps hitting.
   for (const SigmaMutation& m : spec->sigma_mutations) {
-    const RelationSchema& rel = engine.catalog().relation(m.cfd.relation);
-    std::string rendered =
-        FormatCFD(m.cfd, engine.catalog().pool(), rel.name(),
-                  [&rel](AttrIndex a) {
-                    return a < rel.arity() ? rel.attr(a).name
-                                           : "#" + std::to_string(a);
-                  });
+    std::string rendered = FormatSourceCFD(m.cfd, engine.catalog());
     Status applied = m.add ? engine.AddCfd(*sigma_id, m.cfd)
                            : engine.RetractCfd(*sigma_id, m.cfd);
     if (!applied.ok()) {
@@ -533,347 +557,18 @@ int RunBatch(int argc, char** argv) {
     }
     std::printf("== churn: applied %s-cfd (%s) ==\n", m.add ? "add" : "drop",
                 rendered.c_str());
-    auto batch = engine.PropagateBatch(round);
-    for (size_t i = 0; i < round.size() && i < batch.size(); ++i) {
-      print_result(round_names[i], batch[i]);
-    }
+    print_results(engine.PropagateBatch(round));
     std::printf("  %s\n", engine.Stats().ToString().c_str());
   }
   return rc;
 }
 
 // ---------------------------------------------------------------------
-// serve mode: many specs as tenants behind one CatalogService
-// ---------------------------------------------------------------------
-
-/// One loaded tenant: the spec (its views stay valid after the catalog
-/// moves into the engine), the service handle, and the request round.
-struct TenantCtx {
-  std::string name;
-  std::string spec_path;
-  Spec spec;
-  TenantHandle handle;
-  std::vector<Engine::Request> round;
-  std::vector<std::string> round_names;
-};
-
-int RunServe(int argc, char** argv) {
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s serve --tenant NAME=SPEC [--tenant NAME=SPEC...]"
-                 " [--rounds K] [--threads N] [--dispatchers N] [--budget N]"
-                 " [--snapshot-dir DIR] [--interval-ms N] [--dirty N]"
-                 " [--quiet] [--no-churn] [--metrics-dump PATH]\n",
-                 argv[0]);
-    return 1;
-  };
-
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  ServiceOptions options;
-  options.engine.num_threads = 1;
-  size_t rounds = 2, interval_ms = 0, dirty = 1;
-  bool quiet = false, churn = true, dispatchers_set = false;
-  std::string metrics_dump;
-  for (int i = 2; i < argc; ++i) {
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--snapshot-dir")) {
-      if (i + 1 >= argc) return usage();
-      options.snapshot_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--metrics-dump")) {
-      if (i + 1 >= argc) return usage();
-      metrics_dump = argv[++i];
-    } else if (int_arg("--dispatchers", &options.dispatcher_threads)) {
-      dispatchers_set = true;
-    } else if (int_arg("--rounds", &rounds) ||
-               int_arg("--threads", &options.engine.num_threads) ||
-               int_arg("--budget", &options.global_cache_budget) ||
-               int_arg("--interval-ms", &interval_ms) ||
-               int_arg("--dirty", &dirty)) {
-      continue;
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else if (!std::strcmp(argv[i], "--no-churn")) {
-      churn = false;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  if (tenant_args.empty()) return usage();
-  if (!options.snapshot_dir.empty() &&
-      !EnsureSnapshotDir(options.snapshot_dir)) {
-    return 1;
-  }
-  // 0 would make the settle check below unsatisfiable (and the service
-  // clamps the policy threshold to >= 1 anyway).
-  dirty = std::max<size_t>(1, dirty);
-  options.policy.interval = std::chrono::milliseconds(interval_ms);
-  options.policy.dirty_line_threshold = dirty;
-  if (options.dispatcher_threads < tenant_args.size()) {
-    // One dispatcher per tenant so every tenant's batch of a round can
-    // be in flight at once — the async-overlap point of serve mode.
-    // Only warn when this overrides an explicit --dispatchers.
-    if (dispatchers_set) {
-      std::fprintf(stderr,
-                   "note: raising --dispatchers from %zu to %zu (one per "
-                   "tenant)\n",
-                   options.dispatcher_threads, tenant_args.size());
-    }
-    options.dispatcher_threads = tenant_args.size();
-  }
-
-  CatalogService service(options);
-  std::vector<TenantCtx> tenants;
-  tenants.reserve(tenant_args.size());
-  for (auto& [name, path] : tenant_args) {
-    auto spec = LoadSpec(path.c_str());
-    if (!spec.ok()) return Fail(spec.status());
-    TenantCtx ctx;
-    ctx.name = name;
-    ctx.spec_path = path;
-    ctx.spec = std::move(spec).value();
-    auto handle = service.OpenCatalog(name, std::move(ctx.spec.catalog),
-                                      {ctx.spec.source_cfds});
-    if (!handle.ok()) return Fail(handle.status());
-    ctx.handle = std::move(handle).value();
-    for (const std::string& view : ctx.spec.ServingRound()) {
-      ctx.round.push_back({ctx.spec.views.at(view), /*sigma_id=*/0});
-      ctx.round_names.push_back(view);
-    }
-    tenants.push_back(std::move(ctx));
-  }
-
-  // Budgets settle only after the last open (every open rebalances), so
-  // the tenant banner prints once all are up.
-  std::printf("== tenants ==\n");
-  for (const TenantCtx& t : tenants) {
-    CacheStats cache = t.handle->engine().Stats().cache;
-    std::printf("tenant %s: opened %s budget=%zu restored=%llu "
-                "rejected=%llu\n",
-                t.name.c_str(), t.spec_path.c_str(),
-                t.handle->cache_budget(),
-                static_cast<unsigned long long>(cache.restored),
-                static_cast<unsigned long long>(cache.rejected));
-  }
-
-  int rc = 0;
-  auto print_tenant_covers = [&](const TenantCtx& t,
-                                 const std::vector<Result<EngineResult>>&
-                                     results) {
-    for (size_t i = 0; i < t.round_names.size() && i < results.size(); ++i) {
-      const Result<EngineResult>& r = results[i];
-      if (!r.ok()) continue;  // already reported by the drain loop
-      const std::string& view_name = t.round_names[i];
-      std::string union_info;
-      if (r->disjunct_count > 1) {
-        union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                     std::to_string(r->disjunct_count) + " disjunct hits";
-      }
-      std::printf("view %s/%s (%zu CFDs%s%s%s, fp=%016llx):\n",
-                  t.name.c_str(), view_name.c_str(), r->cover->cover.size(),
-                  r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                  r->cover->truncated ? ", TRUNCATED" : "",
-                  union_info.c_str(),
-                  static_cast<unsigned long long>(r->fingerprint));
-      if (quiet) continue;
-      const SPCUView& view = t.spec.views.at(view_name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, t.handle->engine().catalog().pool(),
-                              view_name, ViewAttrNames(view))
-                        .c_str());
-      }
-    }
-  };
-
-  // One round = one async batch per tenant, all in flight together; the
-  // futures are drained in submission order, so output (and each
-  // tenant's hit pattern) is deterministic while the serving itself
-  // overlaps across tenants. `print_idx` selects whose covers print:
-  // every tenant, none, or just one (the churned tenant's re-serve).
-  constexpr int kPrintAll = -1, kPrintNone = -2;
-  auto serve_round = [&](int print_idx) {
-    std::vector<std::pair<size_t, std::future<BatchReply>>> inflight;
-    inflight.reserve(tenants.size());
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      auto submitted = service.SubmitBatch(tenants[i].name,
-                                           tenants[i].round);
-      if (!submitted.ok()) {
-        rc = Fail(submitted.status());
-        continue;
-      }
-      inflight.emplace_back(i, std::move(submitted).value());
-    }
-    for (auto& [idx, future] : inflight) {
-      BatchReply reply = future.get();
-      for (size_t i = 0; i < reply.results.size(); ++i) {
-        if (!reply.results[i].ok()) {
-          std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
-                       tenants[idx].name.c_str(), i,
-                       reply.results[i].status().ToString().c_str());
-          rc = 1;
-        }
-      }
-      if (print_idx == kPrintAll || static_cast<size_t>(print_idx) == idx) {
-        print_tenant_covers(tenants[idx], reply.results);
-      }
-    }
-  };
-
-  auto start = std::chrono::steady_clock::now();
-  for (size_t k = 0; k < rounds; ++k) {
-    serve_round(k == 0 ? kPrintAll : kPrintNone);
-  }
-  double elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  size_t round_requests = 0;
-  for (const TenantCtx& t : tenants) round_requests += t.round.size();
-  std::printf("== base rounds ==\n  %zu requests in %.2f ms (%.0f "
-              "covers/sec, %zu tenants, %zu dispatchers)\n",
-              round_requests * rounds, elapsed_ms,
-              elapsed_ms > 0
-                  ? 1000.0 * static_cast<double>(round_requests * rounds) /
-                        elapsed_ms
-                  : 0.0,
-              tenants.size(), service.options().dispatcher_threads);
-  for (const TenantCtx& t : tenants) {
-    std::printf("tenant %s base: %s\n", t.name.c_str(),
-                t.handle->engine().Stats().ToString().c_str());
-  }
-
-  // When the background policy is on, prove it settles before moving
-  // on: every tenant must drop below the dirty threshold, which on a
-  // cold run means the policy thread actually spilled it (a warm-started
-  // tenant that only hit was never dirty and settles at 0 spills).
-  if (!options.snapshot_dir.empty() && interval_ms > 0) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(30);
-    bool settled = false;
-    std::vector<TenantStatsSnapshot> policy_stats;
-    while (!settled && std::chrono::steady_clock::now() < deadline) {
-      settled = true;
-      policy_stats = service.Stats().tenants;
-      for (const TenantStatsSnapshot& t : policy_stats) {
-        if (t.dirty_lines >= dirty) settled = false;
-      }
-      if (!settled) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-    if (settled) {
-      for (const TenantStatsSnapshot& t : policy_stats) {
-        std::printf("policy: tenant %s settled (policy_spills=%llu "
-                    "dirty=%llu)\n",
-                    t.name.c_str(),
-                    static_cast<unsigned long long>(t.policy_spills),
-                    static_cast<unsigned long long>(t.dirty_lines));
-      }
-    } else {
-      std::fprintf(stderr,
-                   "error: snapshot policy did not settle every tenant\n");
-      rc = 1;
-    }
-  }
-
-  // Churn replay: each tenant's add-cfd/drop-cfd script runs in spec
-  // order while EVERY tenant's round stays in flight — the mutated
-  // sigma's lines recompute, the other tenants keep hitting their own
-  // caches (the isolation claim of the registry).
-  if (churn) {
-    for (size_t ti = 0; ti < tenants.size(); ++ti) {
-      TenantCtx& t = tenants[ti];
-      for (const SigmaMutation& m : t.spec.sigma_mutations) {
-        Engine& engine = t.handle->engine();
-        const RelationSchema& rel = engine.catalog().relation(m.cfd.relation);
-        std::string rendered =
-            FormatCFD(m.cfd, engine.catalog().pool(), rel.name(),
-                      [&rel](AttrIndex a) {
-                        return a < rel.arity() ? rel.attr(a).name
-                                               : "#" + std::to_string(a);
-                      });
-        Status applied = m.add ? engine.AddCfd(0, m.cfd)
-                               : engine.RetractCfd(0, m.cfd);
-        if (!applied.ok()) {
-          rc = Fail(applied);
-          continue;
-        }
-        std::printf("== churn tenant %s: applied %s-cfd (%s) ==\n",
-                    t.name.c_str(), m.add ? "add" : "drop",
-                    rendered.c_str());
-        // Every tenant's round stays in flight during the churned
-        // tenant's re-serve; only the churned covers print.
-        serve_round(static_cast<int>(ti));
-        std::printf("  %s\n", engine.Stats().ToString().c_str());
-      }
-    }
-  }
-
-  // Explicit final spill: deterministic line counts for scripts/CI (the
-  // destructor's flush would do the same work, silently).
-  if (!options.snapshot_dir.empty()) {
-    for (const TenantCtx& t : tenants) {
-      auto spilled = service.SpillTenant(t.name);
-      if (!spilled.ok()) {
-        rc = Fail(spilled.status());
-        continue;
-      }
-      std::printf("spill tenant %s: lines=%llu\n", t.name.c_str(),
-                  static_cast<unsigned long long>(*spilled));
-    }
-  }
-
-  ServiceStatsSnapshot stats = service.Stats();
-  std::printf("== service stats ==\n");
-  for (const TenantStatsSnapshot& t : stats.tenants) {
-    std::printf("  %s\n", t.ToString().c_str());
-  }
-  std::printf("  service: tenants=%zu budget=%zu submitted=%llu "
-              "completed=%llu\n",
-              stats.tenants.size(), stats.global_cache_budget,
-              static_cast<unsigned long long>(stats.batches_submitted),
-              static_cast<unsigned long long>(stats.batches_completed));
-  if (!metrics_dump.empty()) {
-    Status dumped = WriteFileText(metrics_dump,
-                                  service.RenderMetricsText());
-    if (!dumped.ok()) return Fail(dumped);
-    std::printf("metrics dumped to %s\n", metrics_dump.c_str());
-  }
-  return rc;
-}
-
-// ---------------------------------------------------------------------
-// listen / client modes: the CatalogService behind a TCP socket
+// listen mode: the CatalogService behind a TCP socket
 // ---------------------------------------------------------------------
 
 int RunListen(int argc, char** argv) {
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s listen [--host H] [--port N]"
-                 " [--tenant NAME=SPEC ...] [--threads N] [--dispatchers N]"
-                 " [--budget N] [--max-inflight N] [--max-queue N]"
-                 " [--io-timeout MS]"
-                 " [--snapshot-dir DIR] [--interval-ms N] [--dirty N]"
-                 " [--metrics-dump PATH] [--trace-dump PATH]"
-                 " [--trace-shift K] [--slow-threshold-us N]"
-                 " [--trace-seed N]\n",
-                 argv[0]);
-    return 1;
-  };
-
-  std::vector<std::pair<std::string, std::string>> tenant_args;
+  std::vector<TenantArg> tenant_args;
   ServiceOptions options;
   options.engine.num_threads = 1;
   net::CoverServerOptions server_options;
@@ -886,35 +581,21 @@ int RunListen(int argc, char** argv) {
     auto int_arg = [&](const char* flag, size_t* out) {
       return ParseSizeFlag(argc, argv, &i, flag, out);
     };
-    if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--host")) {
-      if (i + 1 >= argc) return usage();
-      server_options.host = argv[++i];
-    } else if (!std::strcmp(argv[i], "--snapshot-dir")) {
-      if (i + 1 >= argc) return usage();
-      options.snapshot_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--metrics-dump")) {
-      if (i + 1 >= argc) return usage();
-      metrics_dump = argv[++i];
-    } else if (!std::strcmp(argv[i], "--trace-dump")) {
-      if (i + 1 >= argc) return usage();
-      trace_dump = argv[++i];
-    } else if (int_arg("--dispatchers", &options.dispatcher_threads)) {
+    auto str_arg = [&](const char* flag, std::string* out) {
+      return ParseStringFlag(argc, argv, &i, flag, out);
+    };
+    if (int_arg("--dispatchers", &options.dispatcher_threads)) {
       dispatchers_set = true;
     } else if (int_arg("--trace-shift", &trace_shift)) {
       trace_shift_set = true;
     } else if (int_arg("--slow-threshold-us", &slow_threshold_us)) {
       slow_set = true;
-    } else if (int_arg("--port", &port) ||
+    } else if (ParseTenantFlag(argc, argv, &i, &tenant_args) ||
+               str_arg("--host", &server_options.host) ||
+               str_arg("--snapshot-dir", &options.snapshot_dir) ||
+               str_arg("--metrics-dump", &metrics_dump) ||
+               str_arg("--trace-dump", &trace_dump) ||
+               int_arg("--port", &port) ||
                int_arg("--threads", &options.engine.num_threads) ||
                int_arg("--budget", &options.global_cache_budget) ||
                int_arg("--max-inflight", &max_inflight) ||
@@ -925,7 +606,17 @@ int RunListen(int argc, char** argv) {
                int_arg("--dirty", &dirty)) {
       continue;
     } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+      std::fprintf(stderr,
+                   "error: unknown flag %s\n"
+                   "usage: %s listen [--host H] [--port N]"
+                   " [--tenant NAME=SPEC ...] [--threads N] [--dispatchers N]"
+                   " [--budget N] [--max-inflight N] [--max-queue N]"
+                   " [--io-timeout MS]"
+                   " [--snapshot-dir DIR] [--interval-ms N] [--dirty N]"
+                   " [--metrics-dump PATH] [--trace-dump PATH]"
+                   " [--trace-shift K] [--slow-threshold-us N]"
+                   " [--trace-seed N]\n",
+                   argv[i], argv[0]);
       return 1;
     }
   }
@@ -1064,50 +755,109 @@ int RunListen(int argc, char** argv) {
   return 0;
 }
 
-int RunClient(int argc, char** argv) {
+// ---------------------------------------------------------------------
+// drive mode: tenants' serving rounds through any CoverBackend
+// ---------------------------------------------------------------------
+
+/// One driven tenant. The spec is parsed here too: it gives the serving
+/// round, the view shapes the printer names columns with, and the churn
+/// script.
+struct DriveTenant {
+  std::string name;
+  std::string path;
+  Spec spec;
+  std::vector<std::string> round;
+  /// The tenant in this process's service (inproc only).
+  TenantHandle handle;
+  /// The open's reply; empty under --no-open.
+  std::optional<net::OpenCatalogReplyInfo> opened;
+
+  /// The pool served covers' constants live in: the tenant engine's in
+  /// process (InProcBackend serves straight from the engine and ignores
+  /// the submit pool), this spec's on the wire (decoded covers intern
+  /// into the submit pool, which is this one).
+  const ValuePool& cover_pool() const {
+    return handle ? handle->engine().catalog().pool() : spec.catalog.pool();
+  }
+};
+
+int RunDrive(int argc, char** argv) {
   auto usage = [&] {
     std::fprintf(stderr,
-                 "usage: %s client [--host H] --port N"
-                 " --tenant NAME=SPEC [...] [--rounds K] [--burst N]"
-                 " [--connect-timeout MS] [--io-timeout MS]"
-                 " [--no-open] [--quiet] [--stats] [--metrics]"
-                 " [--trace] [--shutdown]\n",
+                 "usage: %s drive --backend inproc|HOST:PORT"
+                 " [--backend HOST:PORT ...] [--tenant NAME=SPEC ...]"
+                 " [--rounds K] [--burst N] [--quiet] [--stats] [--metrics]"
+                 " [--metrics-dump PATH] [--trace]\n"
+                 "  in process:  [--threads N] [--dispatchers N] [--budget N]"
+                 " [--snapshot-dir DIR] [--interval-ms N] [--dirty N]"
+                 " [--no-churn]\n"
+                 "  remote:      [--connect-timeout MS] [--io-timeout MS]"
+                 " [--no-open] [--shutdown]\n"
+                 "  2+ backends: [--vnodes N] [--migrate TENANT[=SHARD] ...]\n",
                  argv[0]);
     return 1;
   };
 
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  net::CoverClientOptions client_options;
-  size_t port = 0, rounds = 2, burst = 0;
-  size_t connect_timeout_ms = 0, client_io_timeout_ms = 0;
-  bool quiet = false, open_tenants = true, want_stats = false;
-  bool want_metrics = false, want_shutdown = false, want_trace = false;
+  std::vector<TenantArg> tenant_args;
+  std::vector<std::string> backend_args;
+  // tenant -> explicit target shard; SIZE_MAX = next shard clockwise.
+  std::vector<std::pair<std::string, size_t>> migrations;
+  ServiceOptions service_options;
+  service_options.engine.num_threads = 1;
+  size_t rounds = 2, burst = 0, vnodes = 0, interval_ms = 0, dirty = 1;
+  size_t connect_timeout_ms = 0, io_timeout_ms = 0;
+  bool quiet = false, churn = true, open_tenants = true;
+  bool want_stats = false, want_metrics = false, want_trace = false;
+  bool want_shutdown = false;
+  std::string metrics_dump;
+  // Every flag given, for the per-backend refusals below.
+  std::set<std::string> given;
   for (int i = 2; i < argc; ++i) {
+    given.insert(argv[i]);
     auto int_arg = [&](const char* flag, size_t* out) {
       return ParseSizeFlag(argc, argv, &i, flag, out);
     };
-    if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
+    auto str_arg = [&](const char* flag, std::string* out) {
+      return ParseStringFlag(argc, argv, &i, flag, out);
+    };
+    std::string arg;
+    if (str_arg("--backend", &arg)) {
+      backend_args.push_back(arg);
+    } else if (str_arg("--migrate", &arg)) {
+      size_t target = SIZE_MAX;
+      const size_t eq = arg.find('=');
+      if (eq != std::string::npos) {
+        char* end = nullptr;
+        const char* text = arg.c_str() + eq + 1;
+        target = std::strtoul(text, &end, 10);
+        if (eq == 0 || *text == '\0' || *end != '\0') {
+          std::fprintf(stderr,
+                       "error: --migrate needs TENANT[=SHARD], got '%s'\n",
+                       arg.c_str());
+          return 1;
+        }
+        arg.resize(eq);
       }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--host")) {
-      if (i + 1 >= argc) return usage();
-      client_options.host = argv[++i];
-    } else if (int_arg("--port", &port) || int_arg("--rounds", &rounds) ||
-               int_arg("--burst", &burst) ||
+      migrations.emplace_back(arg, target);
+    } else if (ParseTenantFlag(argc, argv, &i, &tenant_args) ||
+               str_arg("--snapshot-dir", &service_options.snapshot_dir) ||
+               str_arg("--metrics-dump", &metrics_dump) ||
+               int_arg("--rounds", &rounds) || int_arg("--burst", &burst) ||
+               int_arg("--threads", &service_options.engine.num_threads) ||
+               int_arg("--dispatchers",
+                       &service_options.dispatcher_threads) ||
+               int_arg("--budget", &service_options.global_cache_budget) ||
+               int_arg("--interval-ms", &interval_ms) ||
+               int_arg("--dirty", &dirty) || int_arg("--vnodes", &vnodes) ||
                int_arg("--connect-timeout", &connect_timeout_ms) ||
-               int_arg("--io-timeout", &client_io_timeout_ms)) {
+               int_arg("--io-timeout", &io_timeout_ms)) {
       continue;
-    } else if (!std::strcmp(argv[i], "--no-open")) {
-      open_tenants = false;
     } else if (!std::strcmp(argv[i], "--quiet")) {
       quiet = true;
+    } else if (!std::strcmp(argv[i], "--no-churn")) {
+      churn = false;
+    } else if (!std::strcmp(argv[i], "--no-open")) {
+      open_tenants = false;
     } else if (!std::strcmp(argv[i], "--stats")) {
       want_stats = true;
     } else if (!std::strcmp(argv[i], "--metrics")) {
@@ -1118,25 +868,78 @@ int RunClient(int argc, char** argv) {
       want_shutdown = true;
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
+      return usage();
     }
   }
-  if (port == 0 || port > 65535) {
-    std::fprintf(stderr, "error: client mode needs --port in [1, 65535]\n");
-    return 1;
-  }
-  if (tenant_args.empty() && !want_stats && !want_metrics &&
-      !want_shutdown) {
+
+  // The backend follows --backend: `inproc`, one server, or a cluster.
+  const bool in_process =
+      backend_args.size() == 1 && backend_args[0] == "inproc";
+  if (!in_process && std::count(backend_args.begin(), backend_args.end(),
+                                "inproc") > 0) {
+    std::fprintf(stderr, "error: --backend inproc stands alone\n");
     return usage();
   }
-  client_options.port = static_cast<uint16_t>(port);
-  client_options.connect_timeout =
-      std::chrono::milliseconds(connect_timeout_ms);
-  client_options.io_timeout = std::chrono::milliseconds(client_io_timeout_ms);
+  std::vector<net::CoverClientOptions> servers;
+  for (const std::string& arg : in_process ? std::vector<std::string>{}
+                                           : backend_args) {
+    const size_t colon = arg.rfind(':');
+    unsigned long port = 0;
+    if (colon != std::string::npos && colon != 0) {
+      char* end = nullptr;
+      const char* text = arg.c_str() + colon + 1;
+      port = std::strtoul(text, &end, 10);
+      if (*text == '\0' || *end != '\0') port = 0;
+    }
+    if (port == 0 || port > 65535) {
+      std::fprintf(stderr,
+                   "error: --backend needs inproc or HOST:PORT, got '%s'\n",
+                   arg.c_str());
+      return usage();
+    }
+    net::CoverClientOptions copts;
+    copts.host = arg.substr(0, colon);
+    copts.port = static_cast<uint16_t>(port);
+    copts.connect_timeout = std::chrono::milliseconds(connect_timeout_ms);
+    copts.io_timeout = std::chrono::milliseconds(io_timeout_ms);
+    servers.push_back(std::move(copts));
+  }
+  if (!in_process && servers.empty()) return usage();
+  if (tenant_args.empty() && migrations.empty() && !want_stats &&
+      !want_metrics && metrics_dump.empty() && !want_shutdown) {
+    return usage();
+  }
+  auto refuse = [&](std::initializer_list<const char*> flags,
+                    const char* why) {
+    for (const char* flag : flags) {
+      if (given.count(flag) != 0) {
+        std::fprintf(stderr, "error: %s %s\n", flag, why);
+        return true;
+      }
+    }
+    return false;
+  };
+  // The wire has no mutation frame and no service knobs: what needs the
+  // service in this process is refused on remote backends, and what
+  // needs a socket is refused in process.
+  if (!in_process &&
+      refuse({"--threads", "--dispatchers", "--budget", "--snapshot-dir",
+              "--interval-ms", "--dirty", "--no-churn"},
+             "needs an in-process service (--backend inproc)")) {
+    return usage();
+  }
+  if (in_process &&
+      refuse({"--connect-timeout", "--io-timeout", "--no-open", "--shutdown"},
+             "needs a remote backend")) {
+    return usage();
+  }
+  if (servers.size() < 2 &&
+      refuse({"--migrate", "--vnodes"}, "needs at least 2 backends")) {
+    return usage();
+  }
 
-  // --trace makes this client a trace edge that samples every request
-  // (shift 0): each SubmitBatches starts a trace, records the rpc span
-  // locally and ships the context in-band for the server's spans.
+  // --trace makes this process the trace edge, sampling every request.
+  // Declared before the service so it outlives every service thread.
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::ScopedProcessTracer> scoped_tracer;
   if (want_trace) {
@@ -1146,125 +949,158 @@ int RunClient(int argc, char** argv) {
     scoped_tracer = std::make_unique<obs::ScopedProcessTracer>(tracer.get());
   }
 
-  net::CoverClient client(client_options);
-  Status connected = client.Connect();
-  if (!connected.ok()) return Fail(connected);
+  std::unique_ptr<CatalogService> service;
+  std::unique_ptr<net::InProcBackend> inproc;
+  std::unique_ptr<net::RemoteBackend> remote;
+  std::unique_ptr<net::CoverRouter> router;
+  net::CoverBackend* backend = nullptr;
+  std::string where;  // how the stats/metrics banners name the backend
+  if (in_process) {
+    if (!service_options.snapshot_dir.empty() &&
+        !EnsureSnapshotDir(service_options.snapshot_dir)) {
+      return 1;
+    }
+    // 0 would make the settle check below unsatisfiable (and the service
+    // clamps the policy threshold to >= 1 anyway).
+    dirty = std::max<size_t>(1, dirty);
+    service_options.policy.interval = std::chrono::milliseconds(interval_ms);
+    service_options.policy.dirty_line_threshold = dirty;
+    if (given.count("--dispatchers") == 0) {
+      service_options.dispatcher_threads = std::max(
+          service_options.dispatcher_threads, tenant_args.size());
+    }
+    service = std::make_unique<CatalogService>(service_options);
+    inproc = std::make_unique<net::InProcBackend>(*service);
+    backend = inproc.get();
+    where = "inproc";
+  } else if (servers.size() == 1) {
+    remote = std::make_unique<net::RemoteBackend>(servers[0]);
+    Status connected = remote->Connect();
+    if (!connected.ok()) return Fail(connected);
+    backend = remote.get();
+    where = "remote";
+  } else {
+    net::CoverRouterOptions router_options;
+    router_options.shards = std::move(servers);
+    if (vnodes > 0) router_options.virtual_nodes = vnodes;
+    router = std::make_unique<net::CoverRouter>(std::move(router_options));
+    backend = router.get();
+    where = "routed, " + std::to_string(router->num_shards()) + " shards";
+  }
+  const size_t num_shards = router ? router->num_shards() : 1;
 
-  // Each tenant's spec is also parsed locally: the client needs the
-  // serving round, the view shapes for attribute names, and a pool to
-  // re-intern decoded cover constants into.
-  struct ClientTenant {
-    std::string name;
-    std::string path;
-    Spec spec;
-    std::vector<std::string> round;
-  };
-  std::vector<ClientTenant> tenants;
+  std::vector<DriveTenant> tenants;
   tenants.reserve(tenant_args.size());
-  int rc = 0;
-  if (!tenant_args.empty()) std::printf("== tenants ==\n");
-  for (auto& [name, path] : tenant_args) {
+  for (const auto& [name, path] : tenant_args) {
     auto text = ReadFileText(path);
     if (!text.ok()) return Fail(text.status());
     auto spec = ParseSpec(*text);
     if (!spec.ok()) return Fail(spec.status());
-    ClientTenant t;
+    DriveTenant& t = tenants.emplace_back();
     t.name = name;
     t.path = path;
     t.spec = std::move(spec).value();
     t.round = t.spec.ServingRound();
-    if (open_tenants) {
-      auto opened = client.OpenCatalog(name, *text);
+    if (inproc) {
+      // The catalog (and its pool) moves into the tenant engine, so the
+      // covers served and the churn script's CFDs share one pool.
+      Spec served;
+      served.catalog = std::move(t.spec.catalog);
+      served.source_cfds = t.spec.source_cfds;
+      served.views = t.spec.views;
+      auto opened = inproc->OpenParsedSpec(name, std::move(served));
       if (!opened.ok()) return Fail(opened.status());
-      std::printf("tenant %s: opened %s budget=%llu restored=%llu "
-                  "rejected=%llu\n",
-                  name.c_str(), path.c_str(),
-                  static_cast<unsigned long long>(opened->cache_budget),
-                  static_cast<unsigned long long>(opened->restored),
-                  static_cast<unsigned long long>(opened->rejected));
+      t.opened = *opened;
+      t.handle = service->ResolveCatalog(name).value();
+    } else if (open_tenants) {
+      auto opened = backend->OpenCatalog(name, *text);
+      if (!opened.ok()) return Fail(opened.status());
+      t.opened = *opened;
     }
-    tenants.push_back(std::move(t));
   }
 
-  // Round-trip the serving rounds; first-round covers print in exactly
-  // serve mode's format, so scripts can diff network serving against
-  // in-process serving byte for byte.
-  auto print_covers = [&](ClientTenant& t,
-                          const std::vector<Result<EngineResult>>& results) {
-    for (size_t i = 0; i < t.round.size() && i < results.size(); ++i) {
-      const Result<EngineResult>& r = results[i];
-      if (!r.ok()) continue;
-      const std::string& view_name = t.round[i];
-      std::string union_info;
-      if (r->disjunct_count > 1) {
-        union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                     std::to_string(r->disjunct_count) + " disjunct hits";
-      }
-      std::printf("view %s/%s (%zu CFDs%s%s%s, fp=%016llx):\n",
-                  t.name.c_str(), view_name.c_str(), r->cover->cover.size(),
-                  r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                  r->cover->truncated ? ", TRUNCATED" : "",
-                  union_info.c_str(),
-                  static_cast<unsigned long long>(r->fingerprint));
-      if (quiet) continue;
-      const SPCUView& view = t.spec.views.at(view_name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, t.spec.catalog.pool(), view_name,
-                              ViewAttrNames(view))
-                        .c_str());
+  // Every open rebalances the budgets, so the banner prints once all
+  // are up. In process the settled budgets are free to read; over the
+  // wire the open replies stand (a stats frame would show in what the
+  // server counts).
+  if (!tenants.empty()) std::printf("== tenants ==\n");
+  for (const DriveTenant& t : tenants) {
+    if (!t.opened) continue;
+    const std::string via =
+        router ? " via shard " + std::to_string(router->ShardFor(t.name))
+               : "";
+    std::printf("tenant %s: opened %s%s budget=%llu restored=%llu "
+                "rejected=%llu\n",
+                t.name.c_str(), t.path.c_str(), via.c_str(),
+                static_cast<unsigned long long>(
+                    t.handle ? t.handle->cache_budget()
+                             : t.opened->cache_budget),
+                static_cast<unsigned long long>(t.opened->restored),
+                static_cast<unsigned long long>(t.opened->rejected));
+  }
+
+  int rc = 0;
+  // One round of one tenant; returns the requests served.
+  auto serve = [&](DriveTenant& t, bool print) -> size_t {
+    auto reply = backend->SubmitBatch(t.name, t.round, t.spec.catalog.pool());
+    if (!reply.ok() || !reply->status.ok()) {
+      const Status& s = reply.ok() ? reply->status : reply.status();
+      std::fprintf(stderr, "error: tenant %s: %s\n", t.name.c_str(),
+                   s.ToString().c_str());
+      rc = 1;
+      return 0;
+    }
+    for (size_t i = 0; i < reply->results.size(); ++i) {
+      const Result<EngineResult>& r = reply->results[i];
+      if (!r.ok()) {
+        std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
+                     t.name.c_str(), i, r.status().ToString().c_str());
+        rc = 1;
+      } else if (print && i < t.round.size()) {
+        const std::string& view = t.round[i];
+        PrintCover(t.name + "/" + view, view, t.spec.views.at(view), *r,
+                   t.cover_pool(), quiet);
       }
     }
+    return reply->results.size();
+  };
+  // One round of every tenant, in order; `print(i)` selects whose
+  // covers print.
+  auto serve_round = [&](auto print) {
+    size_t served = 0;
+    for (size_t i = 0; i < tenants.size(); ++i) {
+      served += serve(tenants[i], print(i));
+    }
+    return served;
   };
 
   size_t total_requests = 0;
   auto start = std::chrono::steady_clock::now();
   for (size_t k = 0; k < rounds; ++k) {
-    for (ClientTenant& t : tenants) {
-      auto reply = client.SubmitBatch(t.name, t.round,
-                                      t.spec.catalog.pool());
-      if (!reply.ok()) return Fail(reply.status());
-      if (!reply->status.ok()) {
-        std::fprintf(stderr, "error: tenant %s round %zu: %s\n",
-                     t.name.c_str(), k,
-                     reply->status.ToString().c_str());
-        rc = 1;
-        continue;
-      }
-      total_requests += reply->results.size();
-      for (size_t i = 0; i < reply->results.size(); ++i) {
-        if (!reply->results[i].ok()) {
-          std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
-                       t.name.c_str(), i,
-                       reply->results[i].status().ToString().c_str());
-          rc = 1;
-        }
-      }
-      if (k == 0) print_covers(t, reply->results);
-    }
+    total_requests += serve_round([k](size_t) { return k == 0; });
   }
   double elapsed_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
   if (!tenants.empty() && rounds > 0) {
-    std::printf("== client rounds ==\n  %zu requests in %.2f ms (%.0f "
-                "covers/sec, %zu tenants, %zu rounds)\n",
+    std::printf("== rounds ==\n  %zu requests in %.2f ms (%.0f covers/sec, "
+                "%zu tenants, %zu rounds)\n",
                 total_requests, elapsed_ms,
                 elapsed_ms > 0 ? 1000.0 * total_requests / elapsed_ms : 0.0,
                 tenants.size(), rounds);
   }
 
-  // Pipelined burst: N copies of the round in ONE frame — the server
+  // Pipelined burst: N copies of the round in ONE call — the service
   // decides every batch's admission atomically, so the admitted and
   // rejected counts are deterministic for given caps.
   if (burst > 0) {
-    for (ClientTenant& t : tenants) {
+    for (DriveTenant& t : tenants) {
       std::vector<std::vector<std::string>> batches(burst, t.round);
-      auto replies = client.SubmitBatches(t.name, batches,
-                                          t.spec.catalog.pool());
+      auto replies =
+          backend->SubmitBatches(t.name, batches, t.spec.catalog.pool());
       if (!replies.ok()) return Fail(replies.status());
       size_t admitted = 0, rejected = 0;
-      for (const net::WireBatchResult& b : *replies) {
+      for (const BatchResult& b : *replies) {
         if (b.status.ok()) {
           ++admitted;
         } else if (b.status.code() == StatusCode::kResourceExhausted) {
@@ -1280,325 +1116,70 @@ int RunClient(int argc, char** argv) {
     }
   }
 
-  if (want_stats) {
-    auto stats = client.Stats();
-    if (!stats.ok()) return Fail(stats.status());
-    std::printf("== service stats (remote) ==\n");
-    for (const net::WireTenantStats& t : stats->tenants) {
-      std::printf("tenant %s net: %s\n", t.name.c_str(),
-                  t.engine_text.c_str());
-      std::printf("tenant %s admission: admitted=%llu rejected=%llu "
-                  "queued=%llu running=%llu\n",
-                  t.name.c_str(),
-                  static_cast<unsigned long long>(t.admitted),
-                  static_cast<unsigned long long>(t.admission_rejected),
-                  static_cast<unsigned long long>(t.queued),
-                  static_cast<unsigned long long>(t.running));
-    }
-    std::printf("service: tenants=%zu budget=%llu submitted=%llu "
-                "completed=%llu rejected=%llu\n",
-                stats->tenants.size(),
-                static_cast<unsigned long long>(stats->global_cache_budget),
-                static_cast<unsigned long long>(stats->batches_submitted),
-                static_cast<unsigned long long>(stats->batches_completed),
-                static_cast<unsigned long long>(stats->batches_rejected));
-  }
-
-  // The raw exposition text, unmodified: pipe it to a file and any
-  // Prometheus-format consumer (or tests/obs) can parse it.
-  if (want_metrics) {
-    auto metrics = client.Metrics();
-    if (!metrics.ok()) return Fail(metrics.status());
-    std::printf("== metrics (remote) ==\n");
-    std::fwrite(metrics->data(), 1, metrics->size(), stdout);
-    if (!metrics->empty() && metrics->back() != '\n') std::printf("\n");
-  }
-
-  // Stitched trees: this edge's rpc spans plus the server process's
-  // rings (the TRACE_DUMP frame) — one tree per request, spanning both
-  // processes via the in-band trace ids.
-  if (want_trace) {
-    auto remote = client.TraceDump();
-    if (!remote.ok()) return Fail(remote.status());
-    std::vector<obs::SpanRecord> spans = tracer->Snapshot();
-    spans.insert(spans.end(), remote->begin(), remote->end());
-    std::printf("== trace (stitched, %zu spans) ==\n%s", spans.size(),
-                obs::FormatSpanTrees(spans).c_str());
-  }
-
-  if (want_shutdown) {
-    Status down = client.Shutdown();
-    if (!down.ok()) return Fail(down);
-    std::printf("shutdown sent\n");
-  }
-  return rc;
-}
-
-// ---------------------------------------------------------------------
-// route mode: a CoverRouter over several listen servers
-// ---------------------------------------------------------------------
-
-int RunRoute(int argc, char** argv) {
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s route --backend HOST:PORT [--backend ...]"
-                 " [--tenant NAME=SPEC ...] [--rounds K] [--vnodes N]"
-                 " [--connect-timeout MS] [--io-timeout MS]"
-                 " [--migrate TENANT[=SHARD] ...] [--quiet]"
-                 " [--stats] [--metrics] [--trace] [--shutdown]\n",
-                 argv[0]);
-    return 1;
-  };
-
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  std::vector<std::pair<std::string, uint16_t>> backends;
-  // tenant -> explicit target shard; SIZE_MAX = next shard clockwise.
-  std::vector<std::pair<std::string, size_t>> migrations;
-  size_t rounds = 2, vnodes = 0;
-  size_t connect_timeout_ms = 0, io_timeout_ms = 0;
-  bool quiet = false, want_stats = false, want_metrics = false;
-  bool want_shutdown = false, want_trace = false;
-  for (int i = 2; i < argc; ++i) {
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (!std::strcmp(argv[i], "--backend")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t colon = arg.rfind(':');
-      unsigned long port_value = 0;
-      if (colon != std::string::npos && colon != 0) {
-        char* end = nullptr;
-        const char* text = arg.c_str() + colon + 1;
-        port_value = std::strtoul(text, &end, 10);
-        if (*text == '\0' || end == text || *end != '\0') port_value = 0;
-      }
-      if (port_value == 0 || port_value > 65535) {
-        std::fprintf(stderr,
-                     "error: --backend needs HOST:PORT, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      backends.emplace_back(arg.substr(0, colon),
-                            static_cast<uint16_t>(port_value));
-    } else if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--migrate")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t target = SIZE_MAX;
-      size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        if (eq == 0 || eq + 1 >= arg.size()) {
-          std::fprintf(stderr,
-                       "error: --migrate needs TENANT[=SHARD], got '%s'\n",
-                       arg.c_str());
-          return 1;
-        }
-        char* end = nullptr;
-        const char* text = arg.c_str() + eq + 1;
-        unsigned long value = std::strtoul(text, &end, 10);
-        if (end == text || *end != '\0') {
-          std::fprintf(stderr,
-                       "error: --migrate shard must be a number, got '%s'\n",
-                       text);
-          return 1;
-        }
-        target = static_cast<size_t>(value);
-        arg = arg.substr(0, eq);
-      }
-      migrations.emplace_back(std::move(arg), target);
-    } else if (int_arg("--rounds", &rounds) || int_arg("--vnodes", &vnodes) ||
-               int_arg("--connect-timeout", &connect_timeout_ms) ||
-               int_arg("--io-timeout", &io_timeout_ms)) {
-      continue;
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      want_metrics = true;
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      want_trace = true;
-    } else if (!std::strcmp(argv[i], "--shutdown")) {
-      want_shutdown = true;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  if (backends.empty()) return usage();
-  if (tenant_args.empty() && migrations.empty() && !want_stats &&
-      !want_metrics && !want_shutdown) {
-    return usage();
-  }
-
-  net::CoverRouterOptions router_options;
-  for (auto& [host, port] : backends) {
-    net::CoverClientOptions copts;
-    copts.host = host;
-    copts.port = port;
-    copts.connect_timeout = std::chrono::milliseconds(connect_timeout_ms);
-    copts.io_timeout = std::chrono::milliseconds(io_timeout_ms);
-    router_options.shards.push_back(std::move(copts));
-  }
-  if (vnodes > 0) router_options.virtual_nodes = vnodes;
-
-  // --trace makes the router the trace edge, sampling every request:
-  // its route spans record here, the rpc/server spans on each shard.
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::ScopedProcessTracer> scoped_tracer;
-  if (want_trace) {
-    obs::ObsOptions topts;
-    topts.trace_sample_shift = 0;
-    tracer = std::make_unique<obs::Tracer>(topts);
-    scoped_tracer = std::make_unique<obs::ScopedProcessTracer>(tracer.get());
-  }
-
-  net::CoverRouter router(std::move(router_options));
-
-  // Each tenant's spec is also parsed locally, exactly as in client
-  // mode: the serving round, view shapes for names, and a decode pool.
-  struct RoutedTenant {
-    std::string name;
-    std::string path;
-    Spec spec;
-    std::vector<std::string> round;
-  };
-  std::vector<RoutedTenant> tenants;
-  tenants.reserve(tenant_args.size());
-  int rc = 0;
-  if (!tenant_args.empty()) std::printf("== tenants ==\n");
-  for (auto& [name, path] : tenant_args) {
-    auto text = ReadFileText(path);
-    if (!text.ok()) return Fail(text.status());
-    auto spec = ParseSpec(*text);
-    if (!spec.ok()) return Fail(spec.status());
-    RoutedTenant t;
-    t.name = name;
-    t.path = path;
-    t.spec = std::move(spec).value();
-    t.round = t.spec.ServingRound();
-    auto opened = router.OpenCatalog(name, *text);
-    if (!opened.ok()) return Fail(opened.status());
-    std::printf("tenant %s: opened %s via shard %zu budget=%llu "
-                "restored=%llu rejected=%llu\n",
-                name.c_str(), path.c_str(), router.ShardFor(name),
-                static_cast<unsigned long long>(opened->cache_budget),
-                static_cast<unsigned long long>(opened->restored),
-                static_cast<unsigned long long>(opened->rejected));
-    tenants.push_back(std::move(t));
-  }
-
-  // Identical to client mode's cover printing, so `route` output diffs
-  // byte-for-byte against `client` talking to one fat server.
-  auto print_covers = [&](RoutedTenant& t,
-                          const std::vector<Result<EngineResult>>& results) {
-    for (size_t i = 0; i < t.round.size() && i < results.size(); ++i) {
-      const Result<EngineResult>& r = results[i];
-      if (!r.ok()) continue;
-      const std::string& view_name = t.round[i];
-      std::string union_info;
-      if (r->disjunct_count > 1) {
-        union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                     std::to_string(r->disjunct_count) + " disjunct hits";
-      }
-      std::printf("view %s/%s (%zu CFDs%s%s%s, fp=%016llx):\n",
-                  t.name.c_str(), view_name.c_str(), r->cover->cover.size(),
-                  r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                  r->cover->truncated ? ", TRUNCATED" : "",
-                  union_info.c_str(),
-                  static_cast<unsigned long long>(r->fingerprint));
-      if (quiet) continue;
-      const SPCUView& view = t.spec.views.at(view_name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, t.spec.catalog.pool(), view_name,
-                              ViewAttrNames(view))
-                        .c_str());
-      }
-    }
-  };
-
-  auto serve_tenant = [&](RoutedTenant& t, size_t round_idx,
-                          bool print) {
-    auto reply = router.SubmitBatch(t.name, t.round, t.spec.catalog.pool());
-    if (!reply.ok() || !reply->status.ok()) {
-      const Status& s = reply.ok() ? reply->status : reply.status();
-      std::fprintf(stderr, "error: tenant %s round %zu: %s\n",
-                   t.name.c_str(), round_idx, s.ToString().c_str());
-      rc = 1;
-      return static_cast<size_t>(0);
-    }
-    for (size_t i = 0; i < reply->results.size(); ++i) {
-      if (!reply->results[i].ok()) {
-        std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
-                     t.name.c_str(), i,
-                     reply->results[i].status().ToString().c_str());
-        rc = 1;
-      }
-    }
-    if (print) print_covers(t, reply->results);
-    return reply->results.size();
-  };
-
-  size_t total_requests = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (size_t k = 0; k < rounds; ++k) {
-    for (RoutedTenant& t : tenants) {
-      total_requests += serve_tenant(t, k, k == 0);
-    }
-  }
-  double elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  if (!tenants.empty() && rounds > 0) {
-    std::printf("== routed rounds ==\n  %zu requests in %.2f ms (%.0f "
-                "covers/sec, %zu tenants, %zu shards, %zu rounds)\n",
-                total_requests, elapsed_ms,
-                elapsed_ms > 0 ? 1000.0 * total_requests / elapsed_ms : 0.0,
-                tenants.size(), router.num_shards(), rounds);
-  }
-
   // Live migrations: drain -> snapshot -> warm-start on the target ->
   // flip the route, then re-serve the tenant so its post-move covers
   // print (the diff target for byte-identity across the move).
-  for (auto& [name, explicit_target] : migrations) {
-    const size_t from = router.ShardFor(name);
+  for (const auto& [name, explicit_target] : migrations) {
+    const size_t from = router->ShardFor(name);
     const size_t target = explicit_target == SIZE_MAX
-                              ? (from + 1) % router.num_shards()
+                              ? (from + 1) % router->num_shards()
                               : explicit_target;
-    auto report = router.MigrateTenant(name, target);
+    auto report = router->MigrateTenant(name, target);
     if (!report.ok()) {
       rc = Fail(report.status());
       continue;
     }
-    std::printf("migrate tenant %s: shard %zu -> %zu snapshot_bytes=%zu "
+    std::printf("migrate tenant %s: shard %zu -> %zu snapshot_bytes=%llu "
                 "restored=%llu rejected=%llu\n",
                 name.c_str(), report->from, report->to,
-                report->snapshot_bytes,
+                static_cast<unsigned long long>(report->snapshot_bytes),
                 static_cast<unsigned long long>(report->restored),
                 static_cast<unsigned long long>(report->rejected));
-    for (RoutedTenant& t : tenants) {
-      if (t.name == name) serve_tenant(t, rounds, /*print=*/true);
+    for (DriveTenant& t : tenants) {
+      if (t.name == name) serve(t, /*print=*/true);
+    }
+  }
+
+  // When the background policy is on, prove it settles before moving
+  // on: every tenant must drop below the dirty threshold, which on a
+  // cold run means the policy thread actually spilled it (a warm-started
+  // tenant that only hit was never dirty and settles at 0 spills).
+  if (service && !service_options.snapshot_dir.empty() && interval_ms > 0) {
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::seconds(30);
+    bool settled = false;
+    std::vector<TenantStatsSnapshot> policy_stats;
+    while (!settled && std::chrono::steady_clock::now() < deadline) {
+      settled = true;
+      policy_stats = service->Stats().tenants;
+      for (const TenantStatsSnapshot& t : policy_stats) {
+        if (t.dirty_lines >= dirty) settled = false;
+      }
+      if (!settled) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    if (settled) {
+      for (const TenantStatsSnapshot& t : policy_stats) {
+        std::printf("policy: tenant %s settled (policy_spills=%llu "
+                    "dirty=%llu)\n",
+                    t.name.c_str(),
+                    static_cast<unsigned long long>(t.policy_spills),
+                    static_cast<unsigned long long>(t.dirty_lines));
+      }
+    } else {
+      std::fprintf(stderr,
+                   "error: snapshot policy did not settle every tenant\n");
+      rc = 1;
     }
   }
 
   if (want_stats) {
-    auto stats = router.Stats();
+    auto stats = backend->Stats();
     if (!stats.ok()) return Fail(stats.status());
-    std::printf("== service stats (routed, %zu shards) ==\n",
-                router.num_shards());
+    std::printf("== service stats (%s) ==\n", where.c_str());
     for (const net::WireTenantStats& t : stats->tenants) {
-      std::printf("tenant %s net: %s\n", t.name.c_str(),
+      std::printf("tenant %s engine: %s\n", t.name.c_str(),
                   t.engine_text.c_str());
       std::printf("tenant %s admission: admitted=%llu rejected=%llu "
                   "queued=%llu running=%llu\n",
@@ -1617,33 +1198,79 @@ int RunRoute(int argc, char** argv) {
                 static_cast<unsigned long long>(stats->batches_rejected));
   }
 
-  if (want_metrics) {
-    auto metrics = router.Metrics();
-    if (!metrics.ok()) return Fail(metrics.status());
-    std::printf("== metrics (routed) ==\n");
-    std::fwrite(metrics->data(), 1, metrics->size(), stdout);
-    if (!metrics->empty() && metrics->back() != '\n') std::printf("\n");
+  // Churn replay (in process only): each tenant's add-cfd/drop-cfd
+  // script runs in spec order while EVERY tenant's round keeps serving —
+  // the mutated Σ's lines recompute, the other tenants keep hitting
+  // their own caches (the isolation claim of the registry). Only the
+  // churned tenant's covers print.
+  for (size_t ti = 0; service && churn && ti < tenants.size(); ++ti) {
+    DriveTenant& t = tenants[ti];
+    Engine& engine = t.handle->engine();
+    for (const SigmaMutation& m : t.spec.sigma_mutations) {
+      std::string rendered = FormatSourceCFD(m.cfd, engine.catalog());
+      Status applied =
+          m.add ? engine.AddCfd(0, m.cfd) : engine.RetractCfd(0, m.cfd);
+      if (!applied.ok()) {
+        rc = Fail(applied);
+        continue;
+      }
+      std::printf("== churn tenant %s: applied %s-cfd (%s) ==\n",
+                  t.name.c_str(), m.add ? "add" : "drop", rendered.c_str());
+      serve_round([ti](size_t i) { return i == ti; });
+      std::printf("  %s\n", engine.Stats().ToString().c_str());
+    }
   }
 
-  // Stitched cross-shard trees: the router edge's route spans (and the
-  // per-shard rpc spans, recorded in this process) plus every shard
-  // server's rings, each record stamped with its shard index.
+  // Explicit final spill: deterministic line counts for scripts/CI (the
+  // destructor's flush would do the same work, silently).
+  if (service && !service_options.snapshot_dir.empty()) {
+    for (const DriveTenant& t : tenants) {
+      auto spilled = service->SpillTenant(t.name);
+      if (!spilled.ok()) {
+        rc = Fail(spilled.status());
+        continue;
+      }
+      std::printf("spill tenant %s: lines=%llu\n", t.name.c_str(),
+                  static_cast<unsigned long long>(*spilled));
+    }
+  }
+
+  // The raw exposition text, unmodified: pipe it to a file and any
+  // Prometheus-format consumer (or tests/obs) can parse it.
+  if (want_metrics || !metrics_dump.empty()) {
+    auto metrics = backend->Metrics();
+    if (!metrics.ok()) return Fail(metrics.status());
+    if (want_metrics) {
+      std::printf("== metrics (%s) ==\n", where.c_str());
+      std::fwrite(metrics->data(), 1, metrics->size(), stdout);
+      if (!metrics->empty() && metrics->back() != '\n') std::printf("\n");
+    }
+    if (!metrics_dump.empty()) {
+      Status dumped = WriteFileText(metrics_dump, *metrics);
+      if (!dumped.ok()) return Fail(dumped);
+      std::printf("metrics dumped to %s\n", metrics_dump.c_str());
+    }
+  }
+
+  // Stitched trees: this edge's spans (in process: every span) plus
+  // each server's rings, fetched over the wire (the TRACE_DUMP frame) —
+  // one tree per request, spanning every process via in-band trace ids.
   if (want_trace) {
     std::vector<obs::SpanRecord> spans = tracer->Snapshot();
-    for (size_t s = 0; s < router.num_shards(); ++s) {
-      auto remote = router.TraceDumpFrom(s);
-      if (!remote.ok()) return Fail(remote.status());
-      spans.insert(spans.end(), remote->begin(), remote->end());
+    for (size_t s = 0; !service && s < num_shards; ++s) {
+      auto dumped = router ? router->TraceDumpFrom(s) : remote->TraceDump();
+      if (!dumped.ok()) return Fail(dumped.status());
+      spans.insert(spans.end(), dumped->begin(), dumped->end());
     }
     std::printf("== trace (stitched, %zu shards, %zu spans) ==\n%s",
-                router.num_shards(), spans.size(),
+                num_shards, spans.size(),
                 obs::FormatSpanTrees(spans).c_str());
   }
 
   if (want_shutdown) {
-    Status down = router.ShutdownAll();
+    Status down = router ? router->ShutdownAll() : remote->Shutdown();
     if (!down.ok()) return Fail(down);
-    std::printf("shutdown sent to %zu shards\n", router.num_shards());
+    std::printf("shutdown sent to %zu shards\n", num_shards);
   }
   return rc;
 }
@@ -1654,17 +1281,11 @@ int main(int argc, char** argv) {
   if (argc >= 2 && !std::strcmp(argv[1], "batch")) {
     return RunBatch(argc, argv);
   }
-  if (argc >= 2 && !std::strcmp(argv[1], "serve")) {
-    return RunServe(argc, argv);
-  }
   if (argc >= 2 && !std::strcmp(argv[1], "listen")) {
     return RunListen(argc, argv);
   }
-  if (argc >= 2 && !std::strcmp(argv[1], "client")) {
-    return RunClient(argc, argv);
-  }
-  if (argc >= 2 && !std::strcmp(argv[1], "route")) {
-    return RunRoute(argc, argv);
+  if (argc >= 2 && !std::strcmp(argv[1], "drive")) {
+    return RunDrive(argc, argv);
   }
   if (argc < 2) {
     std::fprintf(stderr,
